@@ -1,54 +1,49 @@
 //! Chip-scale sparse-solve benchmark.
 //!
-//! Generates `chipgen` floorplans sized to 100 / 1 000 / 10 000 MNA
-//! unknowns and measures the PR-10 structured solver against the
-//! natural-order flat LU baseline, on two legs:
+//! Generates `chipgen` floorplans sized to a ladder of MNA unknown
+//! counts and solves each end to end through `vls-engine`: the DC
+//! operating point, then a fixed transient window over the first half
+//! of the stimulus edge. Two legs run on every floorplan up to the pin
+//! size:
 //!
-//! 1. **kernel leg** — the chip's MNA sparsity pattern (element
-//!    cliques plus voltage-source branch rows) assembled with
-//!    deterministic synthetic conductances, solved by (a) natural-order
-//!    flat LU — a from-scratch `SparseLu` factorization plus solve,
-//!    the cost any kernel without the structured machinery pays — and
-//!    (b) the island-partitioned `SchurSolver` steady-state hot path
-//!    (numeric refactorize + solve; its one-time tearing/symbolic cost
-//!    is reported separately). The rail/stim hub rows sit first in
-//!    natural order, so flat LU's pivot search goes superlinear
-//!    (measured ~0.7 ms → ~39 ms → ~750 ms at 100/400/1000 unknowns)
-//!    while the island path stays near-linear — the complexity-curve
-//!    floor pins the structured path ≥4x faster at 1 000 unknowns
-//!    (≥1.5x at 400 under `--smoke`). For calibration the rows also
-//!    report the incremental frozen-pivot `refactorize` time of the
-//!    natural path — the PR-9 Newton steady state, which is already
-//!    near-optimal on this matrix and is *not* the floor's baseline.
-//!    The flat baseline is skipped above the pin size, where its
-//!    superlinear cost makes it unaffordable;
-//! 2. **engine leg** — the largest floorplan solved end to end through
-//!    `vls-engine` with `SolverStructure::Islands`: the DC operating
-//!    point and a short transient window, proving the 10k-unknown
-//!    chip solves DC+transient through the structured kernel.
+//! * **default** — `SimOptions::default()`: the symbolic kernel with
+//!   the one-time minimum-degree ordering and frozen-pivot
+//!   refactorization;
+//! * **natural** — `KernelMode::Legacy` with `sparse_threshold: 0`:
+//!   the natural-order sparse LU, re-pivoted every Newton iteration.
+//!   Its cost grows with the fill natural order suffers on the
+//!   rail/stimulus hub rows, so it is skipped above the pin size.
 //!
-//! Writes the `BENCH_solve.json` perf-trajectory artifact.
+//! Both legs must take the same number of accepted steps and land
+//! within [`SOLVE_TOL`] of each other on every unknown of the DC point
+//! and the final transient point. The floor pins the default leg at
+//! least [`FULL_FLOOR`]x faster end to end at 1 000 unknowns
+//! ([`SMOKE_FLOOR`]x at 400 under `--smoke`).
 //!
 //! ```text
 //! cargo run --release -p vls-bench --bin solve_scale [-- --smoke]
 //! ```
 //!
-//! `--smoke` shrinks the sizes to [100, 400] for CI; every correctness
-//! assertion and the (smaller) speedup floor still hold.
+//! A full run writes the `BENCH_solve.json` perf-trajectory artifact.
+//! `--smoke` shrinks the sizes to [100, 400], checks the same
+//! assertions and the smoke floor, and writes its JSON under the
+//! system temporary directory (`$TMPDIR`) so the trajectory only
+//! moves on deliberate full runs.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use vls_engine::{island_report, run_transient, solve_dc, SimOptions, SolverStructure};
+use vls_engine::{run_transient, solve_dc, KernelMode, SimOptions};
 use vls_netlist::chipgen::{generate_chip, spec_for_unknowns, unknowns_of};
 use vls_netlist::Circuit;
-use vls_num::{CscMatrix, SchurSolver, SparseLu, TripletMatrix};
 
-/// Minimum structured-vs-natural speedup at the pin size.
+/// Minimum default-vs-natural end-to-end speedup at the pin size.
 const FULL_FLOOR: f64 = 4.0;
 const SMOKE_FLOOR: f64 = 1.5;
-/// Agreement tolerance between the two kernels' solutions.
+/// Agreement tolerance between the two legs' solutions, V (or A).
 const SOLVE_TOL: f64 = 1e-9;
+/// Transient window: the first half of the 50 ps stimulus edge.
+const TSTOP: f64 = 2.5e-11;
 
 /// Best-of-`reps` wall time for `f`, with the last result.
 fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
@@ -62,196 +57,161 @@ fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, out.expect("reps >= 1"))
 }
 
-/// The chip's MNA system with synthetic values: every element stamps a
-/// diagonally-dominant conductance clique over its non-ground nodes
-/// (the structural model of its Jacobian), voltage sources add their
-/// branch row/column pair. Deterministic in the circuit alone. Returns
-/// the assembled matrix and the boundary unknowns the engine would
-/// tear (source-incident nodes plus every branch current).
-fn synthetic_mna(flat: &Circuit) -> (CscMatrix, Vec<usize>) {
-    let node_unknowns = flat.node_count() - 1;
-    let branches = flat
-        .elements()
-        .iter()
-        .filter(|e| e.needs_branch_current())
-        .count();
-    let n = node_unknowns + branches;
-    let mut t = TripletMatrix::new(n);
-    let mut boundary = Vec::new();
-    // Small diagonal everywhere (the engine's gmin) keeps isolated
-    // nodes nonsingular without masking the clique structure.
-    for i in 0..n {
-        t.add(i, i, 1e-9);
-    }
-    let idx =
-        |id: vls_netlist::NodeId| -> Option<usize> { (!id.is_ground()).then(|| id.index() - 1) };
-    let mut branch = node_unknowns;
-    for (k, e) in flat.elements().iter().enumerate() {
-        let pins: Vec<usize> = {
-            let mut p: Vec<usize> = e.nodes().into_iter().filter_map(idx).collect();
-            p.sort_unstable();
-            p.dedup();
-            p
-        };
-        // Deterministic per-element conductance in [1e-4, 1.1e-3).
-        let g = 1e-4 * (1.0 + (k % 10) as f64);
-        for (a, &i) in pins.iter().enumerate() {
-            for &j in &pins[a + 1..] {
-                t.add(i, i, g);
-                t.add(j, j, g);
-                t.add(i, j, -g);
-                t.add(j, i, -g);
-            }
-        }
-        if e.needs_branch_current() {
-            // v-source constraint row: ±1 incidence, zero diagonal.
-            for &i in &pins {
-                t.add(branch, i, 1.0);
-                t.add(i, branch, 1.0);
-            }
-            boundary.extend(&pins);
-            boundary.push(branch);
-            branch += 1;
+/// One engine leg on one floorplan: DC plus the transient window.
+struct Leg {
+    dc_s: f64,
+    tran_s: f64,
+    steps: usize,
+    newton_iters: u64,
+    /// DC unknowns followed by the final transient node voltages.
+    x: Vec<f64>,
+}
+
+impl Leg {
+    fn run(flat: &Circuit, sim: &SimOptions, reps: usize) -> Self {
+        let (dc_s, dc) = time_best(reps, || solve_dc(flat, sim).expect("chip DC"));
+        let (tran_s, tran) = time_best(reps, || {
+            run_transient(flat, TSTOP, sim).expect("chip transient")
+        });
+        let mut x = dc.unknowns().to_vec();
+        x.extend(flat.node_ids().skip(1).map(|id| tran.final_voltage(id)));
+        Self {
+            dc_s,
+            tran_s,
+            steps: tran.len(),
+            newton_iters: dc.solver_stats().newton_iters + tran.solver_stats().newton_iters,
+            x,
         }
     }
-    boundary.sort_unstable();
-    boundary.dedup();
-    (t.to_csc(), boundary)
+
+    fn total_s(&self) -> f64 {
+        self.dc_s + self.tran_s
+    }
+
+    fn s_per_newton(&self) -> f64 {
+        self.total_s() / self.newton_iters as f64
+    }
 }
 
 struct Row {
     unknowns: usize,
     instances: usize,
-    islands: usize,
-    boundary: usize,
-    /// From-scratch natural-order flat LU (factorize + solve) — the
-    /// floor's baseline. `None` above the pin size.
-    flat_s: Option<f64>,
-    /// Incremental natural refactorize + solve (PR-9 steady state),
-    /// reported for calibration only.
-    refactor_s: Option<f64>,
-    structured_s: f64,
-    speedup: Option<f64>,
+    default: Leg,
+    /// `None` above the pin size.
+    natural: Option<Leg>,
+}
+
+impl Row {
+    fn speedup(&self) -> Option<f64> {
+        self.natural
+            .as_ref()
+            .map(|n| n.total_s() / self.default.total_s())
+    }
+}
+
+fn leg_json(leg: &Leg) -> String {
+    format!(
+        "{{\"dc_s\": {:.6}, \"tran_s\": {:.6}, \"tran_steps\": {}, \
+         \"newton_iters\": {}, \"s_per_newton\": {:.9}}}",
+        leg.dc_s,
+        leg.tran_s,
+        leg.steps,
+        leg.newton_iters,
+        leg.s_per_newton()
+    )
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let targets: &[usize] = if smoke {
-        &[100, 400]
+    let (targets, pin_target, floor): (&[usize], usize, f64) = if smoke {
+        (&[100, 400], 400, SMOKE_FLOOR)
     } else {
-        &[100, 1000, 10_000]
+        (&[100, 1000, 4000, 10_000], 1000, FULL_FLOOR)
     };
-    let (pin_target, floor) = if smoke {
-        (400, SMOKE_FLOOR)
-    } else {
-        (1000, FULL_FLOOR)
+    let reps = if smoke { 2 } else { 3 };
+    let default_sim = SimOptions::default();
+    let natural_sim = SimOptions {
+        kernel: KernelMode::Legacy,
+        sparse_threshold: 0,
+        ..SimOptions::default()
     };
-    let flat_cap = pin_target; // natural flat LU stops being affordable
-    let reps = if smoke { 3 } else { 5 };
-    let mut rows: Vec<Row> = Vec::new();
-    let mut biggest: Option<Circuit> = None;
 
     println!(
-        "chip-scale sparse solve ({} mode)",
+        "chip-scale sparse solve, DC + {:.0} ps transient ({} mode)",
+        TSTOP * 1e12,
         if smoke { "smoke" } else { "full" }
     );
+    let mut rows: Vec<Row> = Vec::new();
     for &target in targets {
         let spec = spec_for_unknowns(target, 3, 0x5510_c0de);
         let flat = generate_chip(&spec).flatten();
         let n = unknowns_of(&flat);
         assert!(n >= target, "sizing fell short: {n} < {target}");
-        let (a, boundary) = synthetic_mna(&flat);
-        let b = vec![1.0; n];
+        assert!(n > default_sim.sparse_threshold, "{n} unknowns stay dense");
 
-        // Structured path, timed on its Newton steady state: the
-        // one-time symbolic phase (tearing, per-island minimum degree)
-        // runs once per circuit in the engine, then every iteration
-        // pays one numeric refactorization plus one boundary-coupled
-        // solve — that per-iteration cost is what scales with fill.
-        let mut schur =
-            SchurSolver::factorize(&a, &boundary, 1e-3).expect("structured factorization");
-        let (structured_s, xs) = time_best(reps, || {
-            schur.refactorize(&a, 1e-3).expect("structured refactorize");
-            schur.solve(&b).expect("structured solve")
-        });
-        let (islands, boundary_len, structured_nnz) = (
-            schur.partition().island_count(),
-            schur.partition().boundary_len(),
-            schur.factor_nnz(),
+        let default = Leg::run(&flat, &default_sim, reps);
+        let rail = flat.find_node("vdd_i0").expect("island rail").index() - 1;
+        assert!(
+            (default.x[rail] - 0.8).abs() < 1e-6,
+            "rail solved to {} V",
+            default.x[rail]
         );
-
-        // Natural-order flat LU — a from-scratch factorization plus
-        // solve — is the floor's baseline, skipped above the pin size
-        // where its superlinear pivot-search cost is unaffordable. The
-        // incremental frozen-pivot refactorize of the same natural
-        // factorization rides along for calibration.
-        let (flat_s, refactor_s, natural_nnz, speedup) = if target <= flat_cap {
-            let flat_reps = if target >= 1000 { 2 } else { reps };
-            let (t_flat, xf) = time_best(flat_reps, || {
-                let f = SparseLu::factorize_with_tolerance(&a, 1e-3).expect("flat factorization");
-                f.solve(&b).expect("flat solve")
-            });
-            let worst = xs
+        let natural = (target <= pin_target).then(|| {
+            let natural = Leg::run(&flat, &natural_sim, 1);
+            assert_eq!(
+                default.steps, natural.steps,
+                "step sequences diverged at {n} unknowns"
+            );
+            let worst = default
+                .x
                 .iter()
-                .zip(&xf)
-                .map(|(p, q)| (p - q).abs())
+                .zip(&natural.x)
+                .map(|(a, b)| (a - b).abs())
                 .fold(0.0f64, f64::max);
             assert!(
                 worst <= SOLVE_TOL,
-                "kernels disagree by {worst:.3e} at {n} unknowns"
+                "default and natural legs disagree by {worst:.3e} at {n} unknowns"
             );
-            let mut lu = SparseLu::factorize(&a).expect("natural factorization");
-            let mut xn = vec![0.0; n];
-            let (t_ref, ()) = time_best(reps, || {
-                lu.refactorize(&a, 1e-3).expect("natural refactorize");
-                lu.solve_into(&b, &mut xn).expect("natural solve");
-            });
-            (
-                Some(t_flat),
-                Some(t_ref),
-                Some(lu.factor_nnz()),
-                Some(t_flat / structured_s),
-            )
-        } else {
-            (None, None, None, None)
-        };
+            natural
+        });
 
-        println!(
-            "  {n:>6} unknowns ({} units, {islands} islands + {boundary_len} boundary): \
-             structured {:>9.3} ms / {structured_nnz} nnz{}",
-            spec.instances,
-            structured_s * 1e3,
-            match (flat_s, refactor_s, natural_nnz, speedup) {
-                (Some(f), Some(r), Some(nnz), Some(s)) => format!(
-                    ", flat LU {:.3} ms ({s:.0}x), incr. natural {:.3} ms / {nnz} nnz",
-                    f * 1e3,
-                    r * 1e3
-                ),
-                _ => ", flat LU skipped".to_string(),
-            }
-        );
-        rows.push(Row {
+        let row = Row {
             unknowns: n,
             instances: spec.instances,
-            islands,
-            boundary: boundary_len,
-            flat_s,
-            refactor_s,
-            structured_s,
-            speedup,
-        });
-        biggest = Some(flat);
+            default,
+            natural,
+        };
+        let d = &row.default;
+        println!(
+            "  {n:>6} unknowns ({} units): default dc {:.3} ms + tran({} steps) {:.3} ms, \
+             {:.3} ms/newton{}",
+            row.instances,
+            d.dc_s * 1e3,
+            d.steps,
+            d.tran_s * 1e3,
+            d.s_per_newton() * 1e3,
+            match (&row.natural, row.speedup()) {
+                (Some(nat), Some(s)) => format!(
+                    "; natural dc {:.3} ms + tran {:.3} ms, {:.3} ms/newton ({s:.1}x)",
+                    nat.dc_s * 1e3,
+                    nat.tran_s * 1e3,
+                    nat.s_per_newton() * 1e3
+                ),
+                _ => "; natural skipped".to_string(),
+            }
+        );
+        rows.push(row);
     }
 
-    // Floor: structured speedup at the pin size.
+    // Floor: default-vs-natural end-to-end speedup at the pin size.
     let pin = rows
         .iter()
-        .find(|r| r.unknowns >= pin_target && r.speedup.is_some())
-        .expect("pin size is benchmarked against the flat baseline");
-    let pin_speedup = pin.speedup.expect("pin ran the flat baseline");
+        .find(|r| r.unknowns >= pin_target && r.natural.is_some())
+        .expect("pin size ran the natural leg");
+    let pin_speedup = pin.speedup().expect("pin ran the natural leg");
     assert!(
         pin_speedup >= floor,
-        "structured speedup {pin_speedup:.2}x at {} unknowns is under the {floor}x floor",
+        "default speedup {pin_speedup:.2}x at {} unknowns is under the {floor}x floor",
         pin.unknowns
     );
     println!(
@@ -259,56 +219,24 @@ fn main() {
         pin.unknowns
     );
 
-    // Engine leg: the largest floorplan through the islands kernel,
-    // DC operating point plus a short transient window.
-    let flat = biggest.expect("at least one size ran");
-    let sim = SimOptions {
-        structure: SolverStructure::Islands,
-        sparse_threshold: 0,
-        ..SimOptions::default()
-    };
-    let report = island_report(&flat, &sim);
-    let t0 = Instant::now();
-    let dc = solve_dc(&flat, &sim).expect("chip DC through the islands kernel");
-    let dc_s = t0.elapsed().as_secs_f64();
-    let rail = flat.find_node("vdd_i0").expect("island rail");
-    assert!(
-        (dc.voltage(rail) - 0.8).abs() < 1e-6,
-        "rail solved to {} V",
-        dc.voltage(rail)
-    );
-    let tstop = if smoke { 1e-10 } else { 2e-10 };
-    let t0 = Instant::now();
-    let tran =
-        run_transient(&flat, tstop, &sim).expect("chip transient through the islands kernel");
-    let tran_s = t0.elapsed().as_secs_f64();
-    assert!(tran.len() > 1, "transient accepted no steps");
-    println!(
-        "  engine leg: {} unknowns ({} islands, {} boundary) \
-         dc {:.3} ms, transient({} steps) {:.3} ms",
-        report.unknowns,
-        report.islands,
-        report.boundary,
-        dc_s * 1e3,
-        tran.len(),
-        tran_s * 1e3
-    );
-
     // Artifact.
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
+    let _ = writeln!(json, "  \"tstop_s\": {TSTOP:e},");
     let _ = writeln!(json, "  \"rows\": [");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"unknowns\": {}, \"instances\": {}, \"islands\": {}, \
-             \"boundary\": {}, \"structured_s\": {:.6}",
-            r.unknowns, r.instances, r.islands, r.boundary, r.structured_s
+            "    {{\"unknowns\": {}, \"instances\": {}, \"default\": {}",
+            r.unknowns,
+            r.instances,
+            leg_json(&r.default)
         );
-        if let (Some(f), Some(rf), Some(s)) = (r.flat_s, r.refactor_s, r.speedup) {
+        if let (Some(nat), Some(s)) = (&r.natural, r.speedup()) {
             let _ = write!(
                 json,
-                ", \"flat_s\": {f:.6}, \"natural_refactor_s\": {rf:.6}, \"speedup\": {s:.3}"
+                ", \"natural\": {}, \"speedup\": {s:.3}",
+                leg_json(nat)
             );
         }
         let _ = writeln!(json, "}}{}", if i + 1 < rows.len() { "," } else { "" });
@@ -316,19 +244,15 @@ fn main() {
     let _ = writeln!(json, "  ],");
     let _ = writeln!(
         json,
-        "  \"pin\": {{\"unknowns\": {}, \"speedup\": {pin_speedup:.3}, \"floor\": {floor}}},",
+        "  \"pin\": {{\"unknowns\": {}, \"speedup\": {pin_speedup:.3}, \"floor\": {floor}}}",
         pin.unknowns
     );
-    let _ = writeln!(
-        json,
-        "  \"engine\": {{\"unknowns\": {}, \"islands\": {}, \"boundary\": {}, \
-         \"dc_s\": {dc_s:.6}, \"tran_steps\": {}, \"tran_s\": {tran_s:.6}}}",
-        report.unknowns,
-        report.islands,
-        report.boundary,
-        tran.len()
-    );
     json.push_str("}\n");
-    std::fs::write("BENCH_solve.json", &json).expect("could not write BENCH_solve.json");
-    println!("wrote BENCH_solve.json");
+    let path = if smoke {
+        std::env::temp_dir().join("BENCH_solve.json")
+    } else {
+        "BENCH_solve.json".into()
+    };
+    std::fs::write(&path, &json).expect("could not write the solve artifact");
+    println!("wrote {}", path.display());
 }

@@ -8,10 +8,11 @@
 //! hoists the invariant work to construction time:
 //!
 //! * **Symbolic phase (once per circuit):** one probe assembly records
-//!   the stamp sequence; [`TripletMatrix::compile`] turns it into a
-//!   frozen CSC pattern plus a stamp-pointer map. Every subsequent
-//!   assembly is a branch-light scatter `values[map[cursor]] += v` —
-//!   no sort, no dedup, no allocation.
+//!   the stamp sequence; [`TripletMatrix::compile_ordered`] turns it
+//!   into a frozen CSC pattern under a minimum-degree fill-reducing
+//!   order plus a stamp-pointer map. Every subsequent assembly is a
+//!   branch-light scatter `values[map[cursor]] += v` — no sort, no
+//!   dedup, no allocation.
 //! * **Numeric-only refactorization:** the pivot order found by the
 //!   first full factorization is replayed by [`SparseLu::refactorize`];
 //!   a pivot-health check falls back to a full re-pivoting
@@ -26,22 +27,22 @@
 //!   but a bypassed evaluation is never allowed to decide convergence:
 //!   the kernel always confirms with one full-evaluation iteration.
 //!
-//! With bypass disabled (the default) the kernel performs arithmetic
-//! identical to the legacy path, so results match to the last bit; the
-//! equivalence suite in `tests/newton_kernel.rs` pins this.
+//! With bypass disabled (the default) the dense path performs
+//! arithmetic identical to the legacy path, so results match to the
+//! last bit; the equivalence suite in `tests/newton_kernel.rs` pins
+//! this. The sparse path eliminates in minimum-degree order where the
+//! legacy path keeps natural order, so there the two agree within
+//! Newton tolerance rather than bitwise (`tests/solve_scale.rs`).
 
 use vls_device::{MosBias, MosCaps, MosCapsCache, MosGeometry, MosModel, MosStamp, MosStampCache};
 use vls_fault::FaultSession;
 use vls_num::{
-    invert_permutation, is_identity, weighted_converged, CscMatrix, DenseLu, DenseMatrix,
-    IslandFactor, IslandOutcome, IslandPartition, NumError, SchurStructure, SolverStats, SparseLu,
-    TripletMatrix,
+    invert_permutation, is_identity, weighted_converged, CscMatrix, DenseLu, DenseMatrix, NumError,
+    SolverStats, SparseLu, TripletMatrix,
 };
-use vls_runner::{run_indexed_mut, RunnerOptions};
 
 use crate::dc::{singular_failure, NewtonFailure};
 use crate::mna::{CompanionCap, MatrixSink, Mna, StampCtx};
-use crate::options::SolverStructure;
 use crate::SimOptions;
 
 /// Scatter sink: replays a recorded stamp sequence into the frozen CSC
@@ -62,11 +63,11 @@ impl MatrixSink for PatternScatter<'_> {
     }
 }
 
-/// Shared factor step for the `Sparse` and `Ordered` paths: numeric
-/// replay on the frozen pivot sequence, falling back to a full
-/// re-pivoting factorization when pivot health degrades. The pivot
-/// fault hook only arms on an existing factorization — the first
-/// (full) factorization has no pivot sequence to drift.
+/// Factor step of the sparse path: numeric replay on the frozen pivot
+/// sequence, falling back to a full re-pivoting factorization when
+/// pivot health degrades. The pivot fault hook only arms on an
+/// existing factorization — the first (full) factorization has no
+/// pivot sequence to drift.
 fn factor_sparse(
     lu: &mut Option<SparseLu>,
     pattern: &CscMatrix,
@@ -107,8 +108,7 @@ fn factor_sparse(
 }
 
 /// The factorization backend chosen at construction time from
-/// `SimOptions::sparse_threshold` (same rule as the legacy path) and,
-/// above it, `SimOptions::structure`.
+/// `SimOptions::sparse_threshold` (same rule as the legacy path).
 // One instance lives per kernel (per circuit), never in a collection,
 // so the variant size difference costs nothing.
 #[allow(clippy::large_enum_variant)]
@@ -117,46 +117,46 @@ enum LinearPath {
         a: DenseMatrix,
         lu: DenseLu,
     },
-    /// Natural MNA order — bit-identical to the pre-structuring solver.
+    /// Sparse LU over the pattern compiled under its one-time
+    /// minimum-degree ordering. The stamp map scatters straight into
+    /// permuted slots, so the per-iteration assembly cost does not
+    /// depend on the order.
     Sparse {
         pattern: CscMatrix,
         map: Vec<usize>,
         lu: Option<SparseLu>,
+        /// `None` when the minimum-degree permutation is the identity:
+        /// the ordered compile is then the natural compile, and the
+        /// solve runs unpermuted, bit-identical to it.
+        order: Option<FillOrder>,
     },
-    /// Minimum-degree permuted order (`SolverStructure::Ordered`). The
-    /// stamp map scatters straight into permuted slots, so per
-    /// iteration only the right-hand side is permuted in and the
-    /// solution permuted out. An identity permutation never reaches
-    /// this variant — construction falls back to `Sparse`, which is
-    /// then provably bit-identical.
-    Ordered {
-        pattern: CscMatrix,
-        map: Vec<usize>,
-        /// `perm[new] = old`.
-        perm: Vec<usize>,
-        /// `new_of[old] = new`.
-        new_of: Vec<usize>,
-        lu: Option<SparseLu>,
-        /// Permuted right-hand-side workspace.
-        pb: Vec<f64>,
-        /// Permuted solution workspace.
-        px: Vec<f64>,
-    },
-    /// Island-partitioned Schur solve (`SolverStructure::Islands`):
-    /// the pattern is compiled in block order `[island 0 …, boundary]`,
-    /// islands factorize independently (fanned over `jobs` workers, all
-    /// reductions in island index order → bitwise worker-count
-    /// independence), coupled through a dense boundary complement.
-    Islands {
-        structure: SchurStructure,
-        factors: Vec<IslandFactor>,
-        boundary_lu: Option<DenseLu>,
-        pattern: CscMatrix,
-        map: Vec<usize>,
-        pb: Vec<f64>,
-        px: Vec<f64>,
-        jobs: RunnerOptions,
-    },
+}
+
+/// A non-identity elimination order and its permutation workspaces.
+struct FillOrder {
+    /// `perm[new] = old`.
+    perm: Vec<usize>,
+    /// `new_of[old] = new`.
+    new_of: Vec<usize>,
+    /// Permuted right-hand-side workspace.
+    pb: Vec<f64>,
+    /// Permuted solution workspace.
+    px: Vec<f64>,
+}
+
+impl FillOrder {
+    /// Permutes the natural-order `b` into elimination order, solves
+    /// with `lu`, and permutes the solution back into `x`.
+    fn solve(&mut self, lu: &SparseLu, b: &[f64], x: &mut [f64]) -> Result<(), NumError> {
+        for (old, &bv) in b.iter().enumerate() {
+            self.pb[self.new_of[old]] = bv;
+        }
+        lu.solve_into(&self.pb, &mut self.px)?;
+        for (old, xo) in x.iter_mut().enumerate() {
+            *xo = self.px[self.new_of[old]];
+        }
+        Ok(())
+    }
 }
 
 /// A per-circuit Newton solver with one-time symbolic analysis,
@@ -213,59 +213,18 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
             mna.assemble_with_eval(&x0, &mut t, &mut b, &probe_ctx, &mut |_, _, _, _| {
                 MosStamp::default()
             });
-            match options.structure {
-                SolverStructure::Natural => {
-                    let (pattern, map) = t.compile();
-                    LinearPath::Sparse {
-                        pattern,
-                        map,
-                        lu: None,
-                    }
-                }
-                SolverStructure::Ordered => {
-                    let (pattern, map, perm) = t.compile_ordered();
-                    if is_identity(&perm) {
-                        // Identity ordering is the natural factorization;
-                        // take the Natural path so "ordered" is only ever
-                        // a genuinely permuted system.
-                        LinearPath::Sparse {
-                            pattern,
-                            map,
-                            lu: None,
-                        }
-                    } else {
-                        let new_of = invert_permutation(&perm);
-                        LinearPath::Ordered {
-                            pattern,
-                            map,
-                            perm,
-                            new_of,
-                            lu: None,
-                            pb: vec![0.0; n],
-                            px: vec![0.0; n],
-                        }
-                    }
-                }
-                SolverStructure::Islands => {
-                    let (natural, _) = t.compile();
-                    let part = IslandPartition::tear(&natural, &mna.boundary_unknowns());
-                    let (pattern, map) = t.compile_permuted(part.new_of());
-                    let structure = SchurStructure::new(&pattern, part);
-                    let factors = structure.new_factors();
-                    LinearPath::Islands {
-                        structure,
-                        factors,
-                        boundary_lu: None,
-                        pattern,
-                        map,
-                        pb: vec![0.0; n],
-                        px: vec![0.0; n],
-                        jobs: options
-                            .solver_jobs
-                            .map(RunnerOptions::with_jobs)
-                            .unwrap_or_default(),
-                    }
-                }
+            let (pattern, map, perm) = t.compile_ordered();
+            let order = (!is_identity(&perm)).then(|| FillOrder {
+                new_of: invert_permutation(&perm),
+                perm,
+                pb: vec![0.0; n],
+                px: vec![0.0; n],
+            });
+            LinearPath::Sparse {
+                pattern,
+                map,
+                lu: None,
+                order,
             }
         } else {
             LinearPath::Dense {
@@ -402,7 +361,12 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                     stats.full_factorizations += 1;
                     lu.solve_into(b, x_new);
                 }
-                LinearPath::Sparse { pattern, map, lu } => {
+                LinearPath::Sparse {
+                    pattern,
+                    map,
+                    lu,
+                    order,
+                } => {
                     pattern.reset_values();
                     {
                         let mut sink = PatternScatter {
@@ -425,152 +389,16 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                     if let Err(e) =
                         factor_sparse(lu, pattern, options.sparse_pivot_tol, faults, stats)
                     {
-                        return Err(singular_failure(mna, None, &e));
+                        let perm = order.as_ref().map(|o| o.perm.as_slice());
+                        return Err(singular_failure(mna, perm, &e));
                     }
                     let f = lu.as_ref().expect("factorized above");
-                    if f.solve_into(b, x_new).is_err() {
+                    let solved = match order {
+                        None => f.solve_into(b, x_new),
+                        Some(o) => o.solve(f, b, x_new),
+                    };
+                    if solved.is_err() {
                         return Err(NewtonFailure::Singular(None));
-                    }
-                }
-                LinearPath::Ordered {
-                    pattern,
-                    map,
-                    perm,
-                    new_of,
-                    lu,
-                    pb,
-                    px,
-                } => {
-                    pattern.reset_values();
-                    {
-                        let mut sink = PatternScatter {
-                            values: pattern.values_mut(),
-                            map,
-                            cursor: 0,
-                        };
-                        mna.assemble_with_eval(x, &mut sink, b, ctx, &mut eval);
-                        assert_eq!(
-                            sink.cursor,
-                            map.len(),
-                            "assembly stamped a different sequence than the symbolic phase"
-                        );
-                    }
-                    // Ends the closure's borrow of `stats`.
-                    #[allow(clippy::drop_non_drop)]
-                    drop(eval);
-                    if let Err(e) =
-                        factor_sparse(lu, pattern, options.sparse_pivot_tol, faults, stats)
-                    {
-                        return Err(singular_failure(mna, Some(perm), &e));
-                    }
-                    // Permute the natural-order RHS into elimination
-                    // order, solve, and permute the solution back.
-                    for (old, &bv) in b.iter().enumerate() {
-                        pb[new_of[old]] = bv;
-                    }
-                    let f = lu.as_ref().expect("factorized above");
-                    if f.solve_into(pb, px).is_err() {
-                        return Err(NewtonFailure::Singular(None));
-                    }
-                    for (old, xo) in x_new.iter_mut().enumerate() {
-                        *xo = px[new_of[old]];
-                    }
-                }
-                LinearPath::Islands {
-                    structure,
-                    factors,
-                    boundary_lu,
-                    pattern,
-                    map,
-                    pb,
-                    px,
-                    jobs,
-                } => {
-                    pattern.reset_values();
-                    {
-                        let mut sink = PatternScatter {
-                            values: pattern.values_mut(),
-                            map,
-                            cursor: 0,
-                        };
-                        mna.assemble_with_eval(x, &mut sink, b, ctx, &mut eval);
-                        assert_eq!(
-                            sink.cursor,
-                            map.len(),
-                            "assembly stamped a different sequence than the symbolic phase"
-                        );
-                    }
-                    // Ends the closure's borrow of `stats`.
-                    #[allow(clippy::drop_non_drop)]
-                    drop(eval);
-                    let tol = options.sparse_pivot_tol;
-                    if boundary_lu.is_some() && faults.fire_pivot() {
-                        // Injected drift on the partitioned path: island
-                        // 0's next numeric replay reports a pivot-health
-                        // failure and takes the full re-pivot fallback.
-                        if let Some(f0) = factors.first_mut() {
-                            f0.degrade_pivot_health();
-                        }
-                    }
-                    // Per-island factorization fans across the workers;
-                    // results come back in island index order, so the
-                    // counter accumulation and first-error choice below
-                    // are schedule-independent.
-                    let values: &[f64] = pattern.values();
-                    let outcomes = run_indexed_mut(factors, jobs, |i, f| {
-                        structure.factor_island(values, i, f, tol)
-                    });
-                    let mut first_err: Option<NumError> = None;
-                    for outcome in outcomes {
-                        match outcome {
-                            Ok(IslandOutcome::Full) => stats.full_factorizations += 1,
-                            Ok(IslandOutcome::Refactorized) => stats.refactorizations += 1,
-                            Ok(IslandOutcome::Fallback) => {
-                                stats.refactor_fallbacks += 1;
-                                stats.full_factorizations += 1;
-                            }
-                            Err(e) => {
-                                if first_err.is_none() {
-                                    first_err = Some(e);
-                                }
-                            }
-                        }
-                    }
-                    if let Some(e) = first_err {
-                        return Err(singular_failure(
-                            mna,
-                            Some(structure.partition().permutation()),
-                            &e,
-                        ));
-                    }
-                    match structure.reduce(values, factors) {
-                        Ok(f) => *boundary_lu = Some(f),
-                        Err(e) => {
-                            return Err(singular_failure(
-                                mna,
-                                Some(structure.partition().permutation()),
-                                &e,
-                            ))
-                        }
-                    }
-                    let new_of = structure.partition().new_of();
-                    for (old, &bv) in b.iter().enumerate() {
-                        pb[new_of[old]] = bv;
-                    }
-                    if structure
-                        .solve(
-                            values,
-                            factors,
-                            boundary_lu.as_ref().expect("reduced above"),
-                            pb,
-                            px,
-                        )
-                        .is_err()
-                    {
-                        return Err(NewtonFailure::Singular(None));
-                    }
-                    for (old, xo) in x_new.iter_mut().enumerate() {
-                        *xo = px[new_of[old]];
                     }
                 }
             }
@@ -618,51 +446,88 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
     }
 }
 
-/// Structural summary of how [`SolverStructure::Islands`] would tear a
-/// circuit's DC pattern: the boundary block the Schur complement
-/// couples, and the independent interior islands. Computed from
-/// topology alone — no solve is run. Benches and golden tests use this
-/// to pin partition shapes (e.g. a rail-shorted floorplan collapsing
-/// to one island) without reaching into the kernel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IslandReport {
-    /// Total MNA unknowns (nodes minus ground, plus branch currents).
-    pub unknowns: usize,
-    /// Independent interior islands after tearing the boundary.
-    pub islands: usize,
-    /// Torn unknowns coupled through the dense Schur block.
-    pub boundary: usize,
-    /// Unknown count of the largest island — the serial depth of the
-    /// parallel factorization phase.
-    pub largest_island: usize,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vls_netlist::Circuit;
 
-/// Tears `circuit`'s DC pattern the way the islands solver would and
-/// reports the partition shape. Uses the same symbolic probe as the
-/// kernel, so the report matches what a DC solve with
-/// [`SolverStructure::Islands`] actually builds.
-pub fn island_report(circuit: &vls_netlist::Circuit, options: &SimOptions) -> IslandReport {
-    let mna = Mna::new(circuit);
-    let n = mna.n_unknowns;
-    let mut t = TripletMatrix::new(n);
-    let mut b = vec![0.0; n];
-    let x0 = vec![0.0; n];
-    let probe_ctx = StampCtx {
-        time: 0.0,
-        source_scale: 0.0,
-        gmin: options.gmin,
-        temp_k: options.temperature.as_kelvin(),
-        reactive: None,
-    };
-    mna.assemble_with_eval(&x0, &mut t, &mut b, &probe_ctx, &mut |_, _, _, _| {
-        MosStamp::default()
-    });
-    let (pattern, _) = t.compile();
-    let part = IslandPartition::tear(&pattern, &mna.boundary_unknowns());
-    IslandReport {
-        unknowns: n,
-        islands: part.island_count(),
-        boundary: part.boundary_len(),
-        largest_island: part.largest_island(),
+    /// Whether the kernel built for `c` above the sparse threshold runs
+    /// a genuinely permuted order, after checking that an unpermuted
+    /// path compiled exactly the natural pattern and stamp map.
+    fn sparse_path_is_permuted(c: &Circuit) -> bool {
+        let mna = Mna::new(c);
+        let options = SimOptions {
+            sparse_threshold: 0,
+            ..SimOptions::default()
+        };
+        let kernel = NewtonKernel::new(&mna, &options, None);
+        let LinearPath::Sparse {
+            pattern,
+            map,
+            order,
+            ..
+        } = &kernel.path
+        else {
+            panic!("sparse_threshold 0 built a dense path");
+        };
+        if order.is_none() {
+            let n = mna.n_unknowns;
+            let mut t = TripletMatrix::new(n);
+            let mut b = vec![0.0; n];
+            let ctx = StampCtx {
+                time: 0.0,
+                source_scale: 0.0,
+                gmin: options.gmin,
+                temp_k: options.temperature.as_kelvin(),
+                reactive: None,
+            };
+            mna.assemble_with_eval(&vec![0.0; n], &mut t, &mut b, &ctx, &mut |_, _, _, _| {
+                MosStamp::default()
+            });
+            let (natural, natural_map) = t.compile();
+            assert_eq!(pattern.col_ptr(), natural.col_ptr());
+            assert_eq!(pattern.row_indices(), natural.row_indices());
+            assert_eq!(map, &natural_map);
+        }
+        order.is_some()
+    }
+
+    #[test]
+    fn identity_ordering_compiles_the_natural_pattern() {
+        // A resistor chain driven by a current source: tridiagonal, so
+        // minimum degree eliminates it front to back.
+        let mut c = Circuit::new();
+        let nodes: Vec<_> = (0..6).map(|k| c.node(&format!("n{k}"))).collect();
+        c.add_isource(
+            "i1",
+            Circuit::GROUND,
+            nodes[0],
+            vls_device::SourceWaveform::Dc(1e-3),
+        );
+        for (k, w) in nodes.windows(2).enumerate() {
+            c.add_resistor(&format!("r{k}"), w[0], w[1], 1e3);
+        }
+        c.add_resistor("rl", nodes[5], Circuit::GROUND, 1e3);
+        assert!(!sparse_path_is_permuted(&c));
+    }
+
+    #[test]
+    fn hub_nodes_take_the_permuted_path() {
+        // A voltage-source rail feeding a fan of loads: the rail row is
+        // a hub created first, which minimum degree defers to the end.
+        let mut c = Circuit::new();
+        let rail = c.node("rail");
+        c.add_vsource(
+            "v1",
+            rail,
+            Circuit::GROUND,
+            vls_device::SourceWaveform::Dc(1.0),
+        );
+        for k in 0..5 {
+            let n = c.node(&format!("n{k}"));
+            c.add_resistor(&format!("r{k}"), rail, n, 1e3);
+            c.add_resistor(&format!("rl{k}"), n, Circuit::GROUND, 1e3);
+        }
+        assert!(sparse_path_is_permuted(&c));
     }
 }

@@ -143,36 +143,6 @@ impl<'c> Mna<'c> {
         }
     }
 
-    /// The boundary set for island tearing: every non-ground node
-    /// incident to a voltage source plus every branch-current unknown,
-    /// sorted and deduplicated.
-    ///
-    /// Branch unknowns must always be boundary — a voltage-source row
-    /// has a zero diagonal, so a branch torn out alone would be a
-    /// structurally singular singleton island. Source-incident nodes
-    /// are the shared nets (rails, stimulus) that couple otherwise
-    /// independent cell instances; removing them is what makes the
-    /// remaining components small.
-    pub fn boundary_unknowns(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (elem_idx, e) in self.circuit.elements().iter().enumerate() {
-            if let Element::VoltageSource { pos, neg, .. } = e {
-                if let Some(i) = self.idx(*pos) {
-                    out.push(i);
-                }
-                if let Some(j) = self.idx(*neg) {
-                    out.push(j);
-                }
-            }
-            if let Some(br) = self.branch_of[elem_idx] {
-                out.push(br);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// The node voltage at `n` in an unknown vector.
     pub fn voltage(&self, x: &[f64], n: NodeId) -> f64 {
         match self.idx(n) {
@@ -379,9 +349,6 @@ mod tests {
         assert_eq!(mna.unknown_name(1), "mid");
         assert_eq!(mna.unknown_name(2), "out");
         assert_eq!(mna.unknown_name(3), "I(vsup)");
-        // Boundary = the source-incident node plus its branch current;
-        // mid/out stay interior.
-        assert_eq!(mna.boundary_unknowns(), vec![0, 3]);
     }
 
     #[test]

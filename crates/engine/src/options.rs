@@ -6,18 +6,22 @@ use vls_units::Temperature;
 
 /// Which Newton/transient hot-path implementation to run.
 ///
-/// Both produce the same solutions (the equivalence suite in
-/// `tests/newton_kernel.rs` pins them to each other); `Legacy` exists
-/// as the baseline for benchmarking and as an escape hatch.
+/// `Legacy` and `Symbolic` produce the same solutions: bit for bit on
+/// the dense path (`tests/newton_kernel.rs`), within Newton tolerance
+/// on the sparse path, where `Symbolic` eliminates in minimum-degree
+/// order and `Legacy` in natural order (`tests/solve_scale.rs`).
+/// `Legacy` is retry rung 2 and the natural-order reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
     /// Per-iteration matrix rebuild: fresh `TripletMatrix`/`DenseMatrix`
-    /// assembly and a full factorization every Newton iteration.
+    /// assembly and a full re-pivoting factorization in natural MNA
+    /// order every Newton iteration.
     Legacy,
-    /// Symbolic-reuse kernel: one-time sparsity analysis with
-    /// stamp-pointer scatter assembly, numeric-only refactorization
-    /// with frozen pivots, reusable workspaces, and (when
-    /// [`SimOptions::bypass_vtol`] is positive) device-eval bypass.
+    /// Symbolic-reuse kernel: one-time sparsity analysis under a
+    /// minimum-degree fill-reducing order with stamp-pointer scatter
+    /// assembly, numeric-only refactorization with frozen pivots,
+    /// reusable workspaces, and (when [`SimOptions::bypass_vtol`] is
+    /// positive) device-eval bypass.
     #[default]
     Symbolic,
     /// Lane-batched kernel for Monte Carlo ensembles: K perturbed
@@ -28,33 +32,6 @@ pub enum KernelMode {
     /// `Symbolic` — the batched machinery only engages on the batched
     /// MC entry points.
     Batched,
-}
-
-/// How the sparse linear system is *structured* before factorization —
-/// orthogonal to [`KernelMode`], which picks the assembly/refactorization
-/// strategy. Only the sparse path of the symbolic kernel honors this;
-/// dense circuits (at or below [`SimOptions::sparse_threshold`]) and
-/// [`KernelMode::Legacy`] always solve in natural order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverStructure {
-    /// Natural MNA unknown order, flat LU. The default: bit-identical
-    /// to every release before the structured solvers existed.
-    #[default]
-    Natural,
-    /// One-time minimum-degree fill-reducing symmetric permutation
-    /// (`P·A·Pᵀ`) applied at symbolic-compile time; stamps scatter
-    /// directly into permuted slots, so the per-iteration cost is
-    /// unchanged. When the computed permutation is the identity the
-    /// kernel provably produces the natural factorization and quietly
-    /// uses the `Natural` path.
-    Ordered,
-    /// Island-partitioned Schur solve: boundary unknowns (voltage-source
-    /// nets and every branch current) are torn out, the remaining
-    /// connected components factorize independently (each under its own
-    /// minimum-degree order, fanned across [`SimOptions::solver_jobs`]
-    /// workers), coupled through a dense Schur complement on the
-    /// boundary. Bitwise identical at any worker count.
-    Islands,
 }
 
 /// Tolerances and controls shared by all analyses. The defaults follow
@@ -87,7 +64,10 @@ pub struct SimOptions {
     /// Transient local-truncation-error tolerance, V. The step size is
     /// adapted to hold the predictor–corrector disagreement below this.
     pub lte_tol: f64,
-    /// Unknown count above which the sparse solver is used.
+    /// Unknown count above which the sparse solver is used. At or below
+    /// it every kernel solves with dense LU; above it the symbolic
+    /// kernel factors the minimum-degree-ordered sparse system and
+    /// [`KernelMode::Legacy`] the natural-order one.
     pub sparse_threshold: usize,
     /// Diagonal-preference pivot tolerance for the sparse LU: the
     /// diagonal is kept as pivot while its magnitude is at least this
@@ -125,18 +105,6 @@ pub struct SimOptions {
     /// for one transient run — the stepper's deterministic timeout.
     /// `None` (the default) is unlimited.
     pub step_budget: Option<u64>,
-    /// Sparse linear-system structuring: natural order (the default,
-    /// bit-identical to prior behavior), fill-reducing minimum-degree
-    /// ordering, or the island-partitioned Schur solver. Honored by the
-    /// sparse path of [`KernelMode::Symbolic`]; everything else ignores
-    /// it.
-    pub structure: SolverStructure,
-    /// Worker threads for the island-partitioned solver's per-island
-    /// factorization fan-out. `None` defers to the `VLS_JOBS`
-    /// environment variable, then to available parallelism (the
-    /// `vls-runner` resolution rule). Results never depend on this —
-    /// only wall time does.
-    pub solver_jobs: Option<usize>,
     /// Monte Carlo lane width K: how many perturbed trials the batched
     /// MC path evaluates in lockstep per shard. `1` (the default) keeps
     /// every ensemble on the scalar per-trial path, bit-identical to
@@ -167,8 +135,6 @@ impl Default for SimOptions {
             fault: FaultPlan::none(),
             newton_budget: None,
             step_budget: None,
-            structure: SolverStructure::default(),
-            solver_jobs: None,
             batch_lanes: 1,
         }
     }
@@ -193,8 +159,8 @@ impl SimOptions {
     /// * rung 1 — gmin floor raised 100× (stiffer regularization pulls
     ///   floating/bistable nodes toward convergence);
     /// * rung 2 — additionally forces [`KernelMode::Legacy`] with
-    ///   bypassing off (full re-pivoting every iteration, no frozen
-    ///   structure, no cached linearizations);
+    ///   bypassing off (full re-pivoting in natural order every
+    ///   iteration, no frozen structure, no cached linearizations);
     /// * rung 3+ — additionally quarters the maximum and initial
     ///   transient steps (brute-force LTE headroom).
     ///
@@ -216,9 +182,6 @@ impl SimOptions {
         if rung >= 2 {
             o.kernel = KernelMode::Legacy;
             o.bypass_vtol = 0.0;
-            // Legacy ignores structuring anyway; force Natural so the
-            // intent — the most conservative flat path — is explicit.
-            o.structure = SolverStructure::Natural;
         }
         if rung >= 3 {
             o.max_step = self.max_step.map(|s| s / 4.0);
@@ -248,10 +211,9 @@ mod tests {
         assert_eq!(o.step_budget, None);
         // Lane width 1 = scalar MC, bit-identical to Symbolic.
         assert_eq!(o.batch_lanes, 1);
-        // Natural structure is the bit-identity default; worker count
-        // for the island fan-out defers to the environment.
-        assert_eq!(o.structure, SolverStructure::Natural);
-        assert_eq!(o.solver_jobs, None);
+        // Cells (≤ 19 unknowns) stay on the dense path; only chip-scale
+        // systems take the ordered sparse solve.
+        assert_eq!(o.sparse_threshold, 64);
     }
 
     #[test]
@@ -262,26 +224,22 @@ mod tests {
         };
         base.fault = FaultPlan::parse("pivot").unwrap();
         base.batch_lanes = 8;
-        base.structure = SolverStructure::Islands;
+        base.bypass_vtol = 1e-6;
         assert_eq!(base.escalated(0), base, "rung 0 is the base attempt");
         let r1 = base.escalated(1);
         assert!(r1.fault.is_empty(), "retries run clean");
         assert_eq!(r1.gmin, base.gmin * 100.0);
         assert_eq!(r1.kernel, KernelMode::Symbolic);
         assert_eq!(r1.batch_lanes, 1, "retries de-batch");
-        assert_eq!(
-            r1.structure,
-            SolverStructure::Islands,
-            "rung 1 keeps the structure"
-        );
+        assert_eq!(r1.bypass_vtol, base.bypass_vtol, "rung 1 keeps bypass");
         let r2 = base.escalated(2);
         assert_eq!(r2.gmin, base.gmin * 100.0);
-        assert_eq!(r2.kernel, KernelMode::Legacy);
         assert_eq!(
-            r2.structure,
-            SolverStructure::Natural,
-            "rung 2 de-structures"
+            r2.kernel,
+            KernelMode::Legacy,
+            "rung 2 solves in natural order"
         );
+        assert_eq!(r2.bypass_vtol, 0.0, "rung 2 disables bypass");
         assert_eq!(r2.max_step, base.max_step);
         let r3 = base.escalated(3);
         assert_eq!(r3.kernel, KernelMode::Legacy);

@@ -467,29 +467,6 @@ pub fn unknowns_of(flat: &Circuit) -> usize {
     flat.node_count() - 1 + branches
 }
 
-/// Chains `ohms` resistors `u{j-1}_y → u{j}_a` across every generated
-/// unit, welding all signal units into one connected component. On a
-/// clean chip each unit's signal path is electrically private, so an
-/// island-partitioned solver sees one island per unit; after this
-/// shorting pass it must degrade to a single island (not an error) —
-/// the degenerate case the golden suite pins.
-///
-/// # Panics
-///
-/// Panics if the circuit was not produced by flattening a chip with at
-/// least `instances` units (the unit net names must exist).
-pub fn short_units(flat: &mut Circuit, instances: usize, ohms: f64) {
-    for j in 1..instances {
-        let prev = flat
-            .find_node(&format!("u{}_y", j - 1))
-            .expect("unit sink net missing");
-        let next = flat
-            .find_node(&format!("u{j}_a"))
-            .expect("unit crossing net missing");
-        flat.add_resistor(&format!("rshort{j}"), prev, next, ohms);
-    }
-}
-
 /// Sizes a [`ChipSpec`] so the flattened chip has at least `target`
 /// MNA unknowns, as close to it as the unit granularity allows. Units
 /// differ in size (up-crossings carry a shifter), so the size is found
@@ -607,23 +584,6 @@ mod tests {
         c.add_vsource("v1", a, Circuit::GROUND, SourceWaveform::Dc(1.0));
         // Two non-ground nodes plus one vsource branch current.
         assert_eq!(unknowns_of(&c), 3);
-    }
-
-    #[test]
-    fn short_units_welds_the_unit_chain() {
-        let spec = ChipSpec {
-            instances: 5,
-            islands: 3,
-            seed: 11,
-        };
-        let mut flat = generate_chip(&spec).flatten();
-        let before = flat.elements().len();
-        short_units(&mut flat, spec.instances, 10.0);
-        assert_eq!(flat.elements().len(), before + spec.instances - 1);
-        for j in 1..spec.instances {
-            assert!(flat.element(&format!("rshort{j}")).is_some());
-        }
-        flat.validate().unwrap();
     }
 
     #[test]

@@ -32,8 +32,8 @@ use std::collections::{BTreeSet, BinaryHeap};
 /// each step the minimum-degree vertex is removed and its neighbors are
 /// pairwise connected (the fill its elimination would create). Quotient
 /// graphs and supernode mass elimination are deliberately left out —
-/// MNA islands are small enough that the simple form is fast, and the
-/// simple form is auditable.
+/// the ordering runs once per circuit, so the simple form is fast
+/// enough at chip scale, and it is auditable.
 ///
 /// # Panics
 ///

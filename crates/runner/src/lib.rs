@@ -64,8 +64,8 @@ pub use ensemble::{
     RetryPolicy, TrialFailure, TrialSuccess,
 };
 pub use queue::{
-    run_indexed, run_indexed_mut, run_indexed_reported, run_lane_groups_reported,
-    FailureTaxonomyEntry, RunReport, ShardReport,
+    run_indexed, run_indexed_reported, run_lane_groups_reported, FailureTaxonomyEntry, RunReport,
+    ShardReport,
 };
 pub use seed::{derive_seed, rng_for_run};
 

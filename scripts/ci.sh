@@ -196,21 +196,19 @@ cargo test -q --test mc_batched
 echo "==> mc_batched --smoke (release, 2x floor at K>=8 enforced)"
 cargo run -q --release -p vls-bench --bin mc_batched -- --smoke
 
-# The structured-solve leg: clippy scoped to the numerics crate (the
-# ordering and Schur machinery live there and must stay warning-free
-# on their own), the golden suite on one worker and at default
-# parallelism (island solves must be bit-identical at any worker
-# count), then the release-mode scaling smoke: flat-LU baseline vs
-# island hot path with the 1.5x floor at 400 unknowns, engine-leg
-# DC + transient through the Islands path, refreshes BENCH_solve.json.
+# The sparse-solve leg: clippy scoped to the numerics crate (the
+# minimum-degree ordering and sparse LU live there and must stay
+# warning-free on their own), then the release-mode scaling smoke: the
+# default engine (ordered sparse path) against the natural-order
+# reference on chipgen floorplans, DC plus a fixed transient window,
+# agreement and step counts asserted, 1.5x floor at 400 unknowns. The
+# smoke writes its JSON under $TMPDIR; only a full run refreshes
+# BENCH_solve.json. The tests/solve_scale.rs goldens run in the
+# workspace suite above: the solve has no parallelism to vary.
 echo "==> cargo clippy -p vls-num (deny warnings)"
 cargo clippy -p vls-num --all-targets -- -D warnings
 
-echo "==> cargo test (solve_scale golden, VLS_JOBS=1 and default jobs)"
-VLS_JOBS=1 cargo test -q --test solve_scale
-cargo test -q --test solve_scale
-
-echo "==> solve_scale --smoke (release, speedup floor + engine leg enforced)"
+echo "==> solve_scale --smoke (release, speedup floor enforced)"
 cargo run -q --release -p vls-bench --bin solve_scale -- --smoke
 
 echo "==> cargo test --release"

@@ -17,9 +17,7 @@
 
 use sstvs::cells::primitives::Inverter;
 use sstvs::cells::{Harness, ShifterKind, VoltagePair};
-use sstvs::engine::{
-    run_transient, solve_dc, EngineError, FaultPlan, KernelMode, SimOptions, SolverStructure,
-};
+use sstvs::engine::{run_transient, solve_dc, EngineError, FaultPlan, KernelMode, SimOptions};
 use sstvs::netlist::chipgen::{generate_chip, ChipSpec};
 use sstvs::netlist::Circuit;
 use sstvs::num::rng::Xoshiro256pp;
@@ -454,11 +452,11 @@ fn op_cache_is_exact_under_collisions_and_pressure_at_any_worker_count() {
     );
 }
 
-/// PR-10 leg — the pivot-health degrade hook (PR-5) stays live on the
-/// structured solver paths. A `pivot` charge against an `Ordered` or
-/// `Islands` solve must fire (injected fault counted, a re-pivoting
-/// fallback factorization billed) and must recover: the faulted
-/// trajectory lands within Newton's own tolerance of the clean one.
+/// The pivot-health degrade hook stays live on the sparse path, which
+/// compiles the chip under its minimum-degree ordering. A `pivot`
+/// charge must fire (injected fault counted, a re-pivoting fallback
+/// factorization billed) and must recover: the faulted trajectory
+/// lands within Newton's own tolerance of the clean one.
 #[test]
 fn pivot_fault_fires_the_degrade_hook_on_structured_paths() {
     let flat = generate_chip(&ChipSpec {
@@ -469,55 +467,45 @@ fn pivot_fault_fires_the_degrade_hook_on_structured_paths() {
     .flatten();
     let probe = flat.find_node("u0_y").expect("unit sink net");
     let plan = FaultPlan::parse("pivot").unwrap();
-    for structure in [SolverStructure::Ordered, SolverStructure::Islands] {
-        let clean_sim = SimOptions {
-            kernel: KernelMode::Symbolic,
-            sparse_threshold: 0,
-            structure,
-            ..SimOptions::default()
-        };
-        let faulted_sim = SimOptions {
-            fault: plan.arm(0),
-            ..clean_sim.clone()
-        };
-        let clean = run_transient(&flat, TSTOP, &clean_sim).expect("clean structured run");
-        let faulted = run_transient(&flat, TSTOP, &faulted_sim).expect("faulted structured run");
+    let clean_sim = SimOptions {
+        kernel: KernelMode::Symbolic,
+        sparse_threshold: 0,
+        ..SimOptions::default()
+    };
+    let faulted_sim = SimOptions {
+        fault: plan.arm(0),
+        ..clean_sim.clone()
+    };
+    let clean = run_transient(&flat, TSTOP, &clean_sim).expect("clean sparse run");
+    let faulted = run_transient(&flat, TSTOP, &faulted_sim).expect("faulted sparse run");
 
-        let s = faulted.solver_stats();
-        assert!(
-            s.injected_faults > 0,
-            "{structure:?}: pivot charge never fired: {}",
-            s.render()
-        );
-        assert!(
-            s.refactor_fallbacks > 0,
-            "{structure:?}: degrade hook fired no fallback: {}",
-            s.render()
-        );
-        assert_eq!(
-            clean.solver_stats().injected_faults,
-            0,
-            "{structure:?}: clean run marked faulty"
-        );
+    let s = faulted.solver_stats();
+    assert!(
+        s.injected_faults > 0,
+        "pivot charge never fired: {}",
+        s.render()
+    );
+    assert!(
+        s.refactor_fallbacks > 0,
+        "degrade hook fired no fallback: {}",
+        s.render()
+    );
+    assert_eq!(
+        clean.solver_stats().injected_faults,
+        0,
+        "clean run marked faulty"
+    );
 
-        // Recovery: the fallback is a clean full factorization of the
-        // same matrix, so the trajectory stays inside Newton's band.
-        assert_eq!(
-            clean.len(),
-            faulted.len(),
-            "{structure:?}: step sequences diverged"
-        );
-        let worst = clean
-            .node_series(probe)
-            .iter()
-            .zip(&faulted.node_series(probe))
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(
-            worst <= 1e-6,
-            "{structure:?}: faulted run strayed {worst:.3e} V"
-        );
-    }
+    // Recovery: the fallback is a clean full factorization of the
+    // same matrix, so the trajectory stays inside Newton's band.
+    assert_eq!(clean.len(), faulted.len(), "step sequences diverged");
+    let worst = clean
+        .node_series(probe)
+        .iter()
+        .zip(&faulted.node_series(probe))
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0f64, f64::max);
+    assert!(worst <= 1e-6, "faulted run strayed {worst:.3e} V");
 }
 
 /// With no plan armed, the fault layer is invisible: options compare

@@ -1,42 +1,28 @@
-//! Golden suite for the chip-scale structured sparse solver.
+//! Golden suite for the chip-scale sparse solve.
 //!
-//! PR-10 adds two solver structures above the natural-order sparse
-//! path: minimum-degree fill-reducing ordering (`Ordered`) and the
-//! island-partitioned Schur solver (`Islands`). This file pins them:
+//! Above `sparse_threshold` the engine compiles every system under a
+//! one-time minimum-degree fill-reducing ordering. This file pins that
+//! one sparse path:
 //!
 //! * **property sweep** — over seeded random hub-and-chain patterns,
 //!   the ordered factorization represents the same operator (solving
 //!   against unit vectors reproduces the identity to 1e-10, i.e.
 //!   P·A·Pᵀ = L·U reconstructs A) and never fills in more than the
 //!   natural order;
-//! * **worker-count determinism** — the island solve of a generated
-//!   100-instance floorplan is bit-identical at 1, 2 and 8 workers,
-//!   and matches the flat natural-order solve to 1e-9;
-//! * **degenerate tearing** — a floorplan whose units are all shorted
-//!   together degrades to a single island and still solves (no error);
-//! * **ordering-off identity** — `SolverStructure::Natural` is the
-//!   default and takes literally the pre-PR-10 code path, asserted by
-//!   a bitwise comparison against explicitly-defaulted options.
+//! * **natural-order agreement** — default options on a generated
+//!   100-instance floorplan match the natural-order reference
+//!   (`KernelMode::Legacy`, full re-pivot every iteration) to 1e-9 V
+//!   for DC and for a transient, with identical step sequences;
+//! * **identity ordering** — a circuit whose minimum-degree permutation
+//!   is the identity takes the natural compile and solves bit for bit
+//!   like the natural-order reference.
 
-use sstvs::engine::{island_report, run_transient, solve_dc, SimOptions, SolverStructure};
-use sstvs::netlist::chipgen::{generate_chip, short_units, unknowns_of, ChipSpec};
+use sstvs::device::{MosGeometry, MosModel, SourceWaveform};
+use sstvs::engine::{run_transient, solve_dc, KernelMode, SimOptions};
+use sstvs::netlist::chipgen::{generate_chip, ChipSpec};
 use sstvs::netlist::Circuit;
 use sstvs::num::rng::{Rng, Xoshiro256pp};
-use sstvs::num::{invert_permutation, DenseMatrix, SparseLu, TripletMatrix};
-
-/// Options tightened so two differently-ordered Newton trajectories
-/// land within 1e-9 V of each other, with the sparse path forced on.
-fn tight(structure: SolverStructure, jobs: Option<usize>) -> SimOptions {
-    SimOptions {
-        structure,
-        solver_jobs: jobs,
-        sparse_threshold: 0,
-        reltol: 1e-6,
-        vabstol: 1e-9,
-        iabstol: 1e-14,
-        ..SimOptions::default()
-    }
-}
+use sstvs::num::{invert_permutation, is_identity, DenseMatrix, SparseLu, TripletMatrix};
 
 /// A seeded hub-and-chain pattern: dense diagonal, one hub row/column
 /// coupling every unknown, a wrap-around chain, and random symmetric
@@ -137,8 +123,12 @@ fn ordered_factorization_reconstructs_and_reduces_fill_over_a_seed_sweep() {
     }
 }
 
-/// The 100-instance floorplan of the issue: flattened, it is well past
-/// the dense threshold and tears into many per-unit islands.
+/// Transient window of the natural-order comparison: the opening of
+/// the 50 ps stimulus edge.
+const TSTOP: f64 = 2e-12;
+
+/// The 100-instance floorplan: flattened, it is well past the dense
+/// threshold, and its rail and stimulus hubs make natural order fill.
 fn chip_100() -> Circuit {
     generate_chip(&ChipSpec {
         instances: 100,
@@ -148,152 +138,152 @@ fn chip_100() -> Circuit {
     .flatten()
 }
 
-#[test]
-fn island_solve_is_bit_identical_across_worker_counts() {
-    let flat = chip_100();
-    let report = island_report(&flat, &tight(SolverStructure::Islands, None));
-    assert_eq!(report.unknowns, unknowns_of(&flat));
-    assert!(
-        report.islands > 10,
-        "expected one island per signal unit, got {}",
-        report.islands
-    );
-    assert!(report.boundary > 0, "no boundary block torn");
-
-    let baseline = solve_dc(&flat, &tight(SolverStructure::Islands, Some(1)))
-        .expect("island solve at 1 worker")
-        .unknowns()
-        .to_vec();
-    for jobs in [2usize, 8] {
-        let sol = solve_dc(&flat, &tight(SolverStructure::Islands, Some(jobs)))
-            .expect("island solve")
-            .unknowns()
-            .to_vec();
-        for (i, (a, b)) in baseline.iter().zip(&sol).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "unknown {i} differs between 1 and {jobs} workers: {a} vs {b}"
-            );
-        }
+/// The natural-order reference: the legacy kernel rebuilds and fully
+/// re-pivots the natural-order sparse system every Newton iteration.
+fn natural_order() -> SimOptions {
+    SimOptions {
+        kernel: KernelMode::Legacy,
+        sparse_threshold: 0,
+        ..SimOptions::default()
     }
+}
+
+fn worst_gap(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len());
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y).abs())
+        .fold(0.0f64, f64::max)
 }
 
 #[test]
 fn structured_solves_match_the_flat_natural_solve() {
     let flat = chip_100();
-    let natural = solve_dc(&flat, &tight(SolverStructure::Natural, None))
-        .expect("natural solve")
-        .unknowns()
-        .to_vec();
-    for structure in [SolverStructure::Ordered, SolverStructure::Islands] {
-        let sol = solve_dc(&flat, &tight(structure, Some(2)))
-            .expect("structured solve")
-            .unknowns()
-            .to_vec();
-        let worst = natural
-            .iter()
-            .zip(&sol)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(
-            worst <= 1e-9,
-            "{structure:?} strayed {worst:.3e} from the flat natural solve"
-        );
-    }
-}
-
-#[test]
-fn rail_shorted_floorplan_degrades_to_one_island_and_still_solves() {
-    let spec = ChipSpec {
-        instances: 20,
-        islands: 3,
-        seed: 0x5510_c0de,
-    };
-    let mut flat = generate_chip(&spec).flatten();
-    let torn = island_report(&flat, &tight(SolverStructure::Islands, None));
-    assert!(torn.islands > 1, "clean chip should tear into many islands");
-
-    // Weld every unit's signal path to its neighbour's: one connected
-    // interior remains. The partition must degrade, not error.
-    short_units(&mut flat, spec.instances, 10.0);
-    let welded = island_report(&flat, &tight(SolverStructure::Islands, None));
-    assert_eq!(
-        welded.islands, 1,
-        "shorted floorplan should collapse to a single island"
+    let default = SimOptions::default();
+    assert!(
+        flat.node_count() > default.sparse_threshold,
+        "chip_100 must take the sparse path"
     );
 
-    let natural = solve_dc(&flat, &tight(SolverStructure::Natural, None))
-        .expect("natural solve of shorted chip")
-        .unknowns()
-        .to_vec();
-    let island = solve_dc(&flat, &tight(SolverStructure::Islands, Some(4)))
-        .expect("island solve of shorted chip must degrade, not error")
-        .unknowns()
-        .to_vec();
-    let worst = natural
-        .iter()
-        .zip(&island)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-    assert!(worst <= 1e-9, "degraded solve strayed {worst:.3e}");
-}
+    let ordered = solve_dc(&flat, &default).expect("default DC");
+    let natural = solve_dc(&flat, &natural_order()).expect("natural-order DC");
+    let worst = worst_gap(ordered.unknowns(), natural.unknowns());
+    assert!(worst <= 1e-9, "DC strayed {worst:.3e} from natural order");
 
-#[test]
-fn island_transient_is_worker_count_deterministic() {
-    // A smaller floorplan keeps the transient cheap; the property is
-    // worker-count independence through the full adaptive stepper.
-    let flat = generate_chip(&ChipSpec {
-        instances: 8,
-        islands: 3,
-        seed: 0x5510_c0de,
-    })
-    .flatten();
-    let probe = flat.find_node("u0_y").expect("unit sink net");
-    let serial = run_transient(&flat, 1e-9, &tight(SolverStructure::Islands, Some(1)))
-        .expect("transient at 1 worker");
-    let fanned = run_transient(&flat, 1e-9, &tight(SolverStructure::Islands, Some(4)))
-        .expect("transient at 4 workers");
-    assert_eq!(serial.len(), fanned.len(), "step sequences differ");
-    for (k, (a, b)) in serial
-        .node_series(probe)
-        .iter()
-        .zip(&fanned.node_series(probe))
-        .enumerate()
-    {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "transient sample {k} differs across worker counts"
+    // The window is capped at one step's worth of `max_step` (instead
+    // of the default tstop / 50) so the natural-order reference stays
+    // affordable; both legs share every other option.
+    let window = |o: SimOptions| SimOptions {
+        max_step: Some(TSTOP),
+        ..o
+    };
+    let ordered = run_transient(&flat, TSTOP, &window(default)).expect("default transient");
+    let natural = run_transient(&flat, TSTOP, &window(natural_order())).expect("natural transient");
+    // Same accepted steps; the step sizes derive from the solutions, so
+    // they agree to rounding, not bitwise.
+    assert_eq!(ordered.len(), natural.len(), "step sequences differ");
+    for (k, (a, b)) in ordered.times().iter().zip(natural.times()).enumerate() {
+        assert!(
+            (a - b).abs() <= 1e-9 * b.abs(),
+            "step {k} at {a:e} vs {b:e} s"
+        );
+    }
+    for id in flat.node_ids().skip(1) {
+        let worst = worst_gap(&ordered.node_series(id), &natural.node_series(id));
+        assert!(
+            worst <= 1e-9,
+            "transient node {} strayed {worst:.3e} from natural order",
+            flat.node_name(id)
         );
     }
 }
 
-#[test]
-fn natural_default_is_the_ordering_off_path_bit_for_bit() {
-    // The acceptance gate for "ordering off is bit-identical to PR-9":
-    // `Natural` is the default and compiles the identical pattern the
-    // pre-structuring kernel compiled, so defaulted options and an
-    // explicit `Natural` request must agree bitwise.
-    assert_eq!(SimOptions::default().structure, SolverStructure::Natural);
+/// A current-driven RC ladder with a MOSFET across every rung: every
+/// element couples neighbouring nodes only and there is no branch
+/// unknown, so the MNA pattern is tridiagonal and minimum degree
+/// eliminates it front to back — the identity permutation.
+fn ladder(rungs: usize) -> Circuit {
+    let mut c = Circuit::new();
+    let nodes: Vec<_> = (0..rungs).map(|k| c.node(&format!("n{k}"))).collect();
+    c.add_isource(
+        "iin",
+        Circuit::GROUND,
+        nodes[0],
+        SourceWaveform::Pulse {
+            v1: 0.0,
+            v2: 1e-4,
+            delay: 0.0,
+            rise: 50e-12,
+            fall: 50e-12,
+            width: 1e-9,
+            period: 2e-9,
+        },
+    );
+    for (k, w) in nodes.windows(2).enumerate() {
+        c.add_resistor(&format!("r{k}"), w[0], w[1], 1e3);
+        c.add_mosfet(
+            &format!("m{k}"),
+            w[1],
+            w[0],
+            Circuit::GROUND,
+            Circuit::GROUND,
+            MosModel::ptm90_nmos(),
+            MosGeometry::from_microns(0.2, 0.1),
+        );
+    }
+    for (k, &n) in nodes.iter().enumerate() {
+        c.add_resistor(&format!("rg{k}"), n, Circuit::GROUND, 1e4);
+        c.add_capacitor(&format!("c{k}"), n, Circuit::GROUND, 1e-15);
+    }
+    c
+}
 
-    let flat = generate_chip(&ChipSpec {
-        instances: 12,
-        islands: 3,
-        seed: 0x5510_c0de,
-    })
-    .flatten();
-    let defaulted = SimOptions {
-        sparse_threshold: 0,
-        ..SimOptions::default()
-    };
-    let explicit = SimOptions {
-        structure: SolverStructure::Natural,
-        ..defaulted.clone()
-    };
-    let a = solve_dc(&flat, &defaulted).expect("default solve");
-    let b = solve_dc(&flat, &explicit).expect("explicit natural solve");
-    for (i, (x, y)) in a.unknowns().iter().zip(b.unknowns()).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "unknown {i} differs: {x} vs {y}");
+#[test]
+fn identity_ordering_solves_bit_for_bit_like_the_natural_compile() {
+    // The ladder's pattern: tridiagonal plus the diagonal. Minimum
+    // degree returns the identity, and the ordered compile is then the
+    // natural compile — pattern and stamp map alike.
+    let rungs = 80;
+    let mut t = TripletMatrix::new(rungs);
+    for k in 0..rungs {
+        t.add(k, k, 1.0);
+        if k + 1 < rungs {
+            t.add(k, k + 1, 1.0);
+            t.add(k + 1, k, 1.0);
+        }
+    }
+    let (ordered, ordered_map, perm) = t.compile_ordered();
+    assert!(is_identity(&perm), "tridiagonal ordering moved: {perm:?}");
+    let (natural, natural_map) = t.compile();
+    assert_eq!(ordered.col_ptr(), natural.col_ptr());
+    assert_eq!(ordered.row_indices(), natural.row_indices());
+    assert_eq!(ordered_map, natural_map);
+
+    // End to end: default options (sparse, above the threshold) and the
+    // natural-order reference agree bit for bit.
+    let c = ladder(rungs);
+    assert!(c.node_count() - 1 > SimOptions::default().sparse_threshold);
+    let ordered = solve_dc(&c, &SimOptions::default()).expect("default DC");
+    let natural = solve_dc(&c, &natural_order()).expect("natural-order DC");
+    for (i, (x, y)) in ordered
+        .unknowns()
+        .iter()
+        .zip(natural.unknowns())
+        .enumerate()
+    {
+        assert_eq!(x.to_bits(), y.to_bits(), "DC unknown {i}: {x} vs {y}");
+    }
+    let ordered = run_transient(&c, 1e-10, &SimOptions::default()).expect("default transient");
+    let natural = run_transient(&c, 1e-10, &natural_order()).expect("natural transient");
+    assert_eq!(ordered.times(), natural.times(), "step sequences differ");
+    for id in c.node_ids().skip(1) {
+        for (k, (x, y)) in ordered
+            .node_series(id)
+            .iter()
+            .zip(&natural.node_series(id))
+            .enumerate()
+        {
+            assert_eq!(x.to_bits(), y.to_bits(), "sample {k}: {x} vs {y}");
+        }
     }
 }
