@@ -16,14 +16,15 @@
 //!    worker count, and a recorded baseline must suppress the full
 //!    report on re-application.
 //!
-//! Writes the `BENCH_check.json` perf-trajectory artifact.
+//! A full run writes the `BENCH_check.json` perf-trajectory artifact.
 //!
 //! ```text
 //! cargo run --release -p vls-bench --bin check_scale [-- --smoke]
 //! ```
 //!
-//! `--smoke` shrinks the sizes to [60, 240] for CI; every correctness
-//! assertion and the (smaller) speedup floor still hold.
+//! `--smoke` shrinks the sizes to [60, 240] for CI and writes its JSON
+//! under `$TMPDIR`; every correctness assertion and the (smaller)
+//! speedup floor still hold.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -245,6 +246,7 @@ fn main() {
         fingerprints.len()
     );
     json.push_str("}\n");
-    std::fs::write("BENCH_check.json", &json).expect("could not write BENCH_check.json");
-    println!("wrote BENCH_check.json");
+    let path = vls_bench::artifact_path("BENCH_check.json", smoke);
+    std::fs::write(&path, &json).expect("could not write the check artifact");
+    println!("wrote {}", path.display());
 }

@@ -14,18 +14,18 @@
 //!    with both kernels and reported through [`RunReport`]'s
 //!    aggregated [`SolverStats`].
 //!
-//! Writes the `BENCH_newton.json` perf-trajectory artifact.
+//! A full run writes the `BENCH_newton.json` perf-trajectory artifact.
 //!
 //! ```text
 //! cargo run --release -p vls-bench --bin newton_speedup [-- --smoke] [-- --jobs 4]
 //! ```
 //!
-//! `--smoke` shrinks the mesh window and the ensemble for CI; the 2x
-//! floor is enforced either way.
+//! `--smoke` shrinks the mesh window and the ensemble for CI and writes
+//! its JSON under `$TMPDIR`; the 2x floor is enforced either way.
 
 use std::time::Instant;
 
-use vls_bench::BinArgs;
+use vls_bench::{artifact_path, BinArgs};
 use vls_cells::{Harness, MultiVoltageSystem, ShifterKind, VoltagePair};
 use vls_core::experiments::tables::monte_carlo_stats_reported;
 use vls_engine::{run_transient, KernelMode, SimOptions, TransientResult};
@@ -275,8 +275,9 @@ fn main() {
         mesh_stats.cap_evals,
         mesh_stats.cap_bypasses,
     );
-    std::fs::write("BENCH_newton.json", &json).expect("could not write BENCH_newton.json");
-    println!("wrote BENCH_newton.json");
+    let path = artifact_path("BENCH_newton.json", smoke);
+    std::fs::write(&path, &json).expect("could not write the newton artifact");
+    println!("wrote {}", path.display());
 
     assert!(
         mesh_s >= 2.0,

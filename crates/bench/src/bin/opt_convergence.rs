@@ -12,16 +12,17 @@
 //! sides). The run fails loudly when the optimizer exceeds its
 //! evaluation budget, when the accepted optimum's surrogate-vs-exact
 //! gap breaks tolerance, or when the per-evaluation speedup falls
-//! under the 50× floor. Writes the `BENCH_opt.json` artifact.
+//! under the 50× floor. A full run writes the `BENCH_opt.json`
+//! artifact.
 //!
-//! `--smoke` shrinks the grid and budget to CI size; the measured
-//! speedup floor is identical in both modes (it is per-evaluation, not
-//! per-run).
+//! `--smoke` shrinks the grid and budget to CI size and writes its JSON
+//! under `$TMPDIR`; the measured speedup floor is identical in both
+//! modes (it is per-evaluation, not per-run).
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use vls_bench::BinArgs;
+use vls_bench::{artifact_path, BinArgs};
 use vls_cells::VoltagePair;
 use vls_opt::{
     optimize, CostSource, Knob, Objective, OptimizerConfig, ParamSpace, SimSource, SizingSurrogate,
@@ -190,8 +191,9 @@ fn main() {
     let _ = writeln!(json, "  \"speedup_per_eval\": {speedup:.1},");
     let _ = writeln!(json, "  \"speedup_floor\": 50.0");
     json.push_str("}\n");
-    std::fs::write("BENCH_opt.json", &json).expect("could not write BENCH_opt.json");
-    println!("wrote BENCH_opt.json");
+    let path = artifact_path("BENCH_opt.json", smoke);
+    std::fs::write(&path, &json).expect("could not write the opt artifact");
+    println!("wrote {}", path.display());
 
     args.maybe_write_csv(&format!(
         "metric,value\nevaluations,{}\nevals_to_optimum,{evals_to_best}\nexact_s_per_eval,\

@@ -4,7 +4,9 @@
 //! it with keep-alive client threads over real loopback sockets, and
 //! writes the `BENCH_serve.json` artifact: sustained QPS (with a
 //! pinned floor), client-side latency quantiles, one exact-fallback
-//! probe, and the daemon's own counter balance.
+//! probe, and the daemon's own counter balance. The artifact goes to
+//! `--out` when given, else to `$TMPDIR` under `--smoke` and to the
+//! working directory for a full run.
 //!
 //! ```text
 //! cargo run --release -p vls-bench --bin serve_qps -- [--smoke]
@@ -47,7 +49,7 @@ struct Args {
     requests: Option<usize>,
     jobs: Option<usize>,
     queue: usize,
-    out: String,
+    out: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -60,7 +62,7 @@ fn parse_args() -> Args {
         requests: None,
         jobs: None,
         queue: 64,
-        out: "BENCH_serve.json".to_string(),
+        out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -77,7 +79,7 @@ fn parse_args() -> Args {
             "--requests" => args.requests = Some(value("--requests").parse().expect("--requests")),
             "--jobs" => args.jobs = Some(value("--jobs").parse().expect("--jobs")),
             "--queue" => args.queue = value("--queue").parse().expect("--queue"),
-            "--out" => args.out = value("--out"),
+            "--out" => args.out = Some(value("--out")),
             other => panic!("unknown flag '{other}'"),
         }
     }
@@ -234,9 +236,13 @@ fn main() {
          \"sheds\": {sheds}\n  }}\n}}\n",
         args.smoke, args.threads,
     );
-    std::fs::write(&args.out, &json)
-        .unwrap_or_else(|e| panic!("could not write {}: {e}", args.out));
-    println!("wrote {}", args.out);
+    let path = args.out.as_ref().map_or_else(
+        || vls_bench::artifact_path("BENCH_serve.json", args.smoke),
+        std::path::PathBuf::from,
+    );
+    std::fs::write(&path, &json)
+        .unwrap_or_else(|e| panic!("could not write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
 
     assert!(
         qps >= QPS_FLOOR,

@@ -248,11 +248,7 @@ fn main() {
         pin.unknowns
     );
     json.push_str("}\n");
-    let path = if smoke {
-        std::env::temp_dir().join("BENCH_solve.json")
-    } else {
-        "BENCH_solve.json".into()
-    };
+    let path = vls_bench::artifact_path("BENCH_solve.json", smoke);
     std::fs::write(&path, &json).expect("could not write the solve artifact");
     println!("wrote {}", path.display());
 }

@@ -41,10 +41,6 @@ pub struct BinArgs {
     pub csv: Option<String>,
     /// Optional prebuilt characterization-library artifact path.
     pub from_lib: Option<String>,
-    /// Monte Carlo lane width K for the lockstep batched path;
-    /// `--batch K` or the `VLS_BATCH` environment variable. `1` (the
-    /// default) keeps the scalar per-trial path.
-    pub batch: usize,
 }
 
 impl Default for BinArgs {
@@ -57,11 +53,6 @@ impl Default for BinArgs {
             jobs: None,
             csv: None,
             from_lib: None,
-            batch: std::env::var("VLS_BATCH")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&k| k >= 1)
-                .unwrap_or(1),
         }
     }
 }
@@ -101,26 +92,18 @@ impl BinArgs {
                 }
                 "--csv" => out.csv = Some(value),
                 "--from-lib" => out.from_lib = Some(value),
-                "--batch" => {
-                    let k: usize = value.parse().expect("--batch takes an integer");
-                    assert!(k >= 1, "--batch must be at least 1");
-                    out.batch = k;
-                }
                 other => panic!(
                     "unknown flag {other}; supported: --trials --seed --step-mv --temp --jobs \
-                     --csv --from-lib --batch"
+                     --csv --from-lib"
                 ),
             }
         }
         out
     }
 
-    /// Characterization options at the selected temperature, with the
-    /// Monte Carlo lane width from `--batch`/`VLS_BATCH` applied.
+    /// Characterization options at the selected temperature.
     pub fn options(&self) -> CharacterizeOptions {
-        let mut o = CharacterizeOptions::at_celsius(self.temp_celsius);
-        o.sim.batch_lanes = self.batch;
-        o
+        CharacterizeOptions::at_celsius(self.temp_celsius)
     }
 
     /// Runner configuration from `--jobs` (default: all cores).
@@ -139,6 +122,18 @@ impl BinArgs {
             std::fs::write(path, content).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
             eprintln!("wrote {path}");
         }
+    }
+}
+
+/// Where a bench binary writes its `BENCH_*.json` artifact: the working
+/// directory (the checked-in perf trajectory) for a full run, the
+/// system temporary directory (`$TMPDIR`) under `--smoke`, so smoke
+/// runs check their floors without rewriting the trajectory.
+pub fn artifact_path(name: &str, smoke: bool) -> std::path::PathBuf {
+    if smoke {
+        std::env::temp_dir().join(name)
+    } else {
+        name.into()
     }
 }
 
@@ -192,10 +187,11 @@ mod tests {
     }
 
     #[test]
-    fn parses_batch_lane_width() {
-        let a = BinArgs::parse(strings(&["--batch", "8"]));
-        assert_eq!(a.batch, 8);
-        assert_eq!(a.options().sim.batch_lanes, 8);
+    fn smoke_artifacts_go_to_the_temp_dir() {
+        let full = artifact_path("BENCH_x.json", false);
+        assert_eq!(full, std::path::PathBuf::from("BENCH_x.json"));
+        let smoke = artifact_path("BENCH_x.json", true);
+        assert_eq!(smoke, std::env::temp_dir().join("BENCH_x.json"));
     }
 
     #[test]

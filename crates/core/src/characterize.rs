@@ -33,10 +33,9 @@
 //!   state the paper's leakage numbers describe.
 
 use vls_cells::{Harness, ShifterKind, VoltagePair};
-use vls_engine::{run_transient, run_transient_batched, SimOptions, SolverStats, TransientResult};
-use vls_netlist::Circuit;
+use vls_engine::{run_transient, SimOptions, SolverStats, TransientResult};
 use vls_units::{Current, Power, Time};
-use vls_variation::{CompiledPerturbation, PerturbationMap};
+use vls_variation::PerturbationMap;
 use vls_waveform::{average, delay_between, is_settled, Edge, Waveform};
 
 use crate::CoreError;
@@ -415,200 +414,6 @@ fn characterize_stimulus(
         leakage_low: Current::from_amps(leakage_low),
         functional,
     })
-}
-
-/// The lane-batched Monte Carlo protocol: characterizes K perturbed
-/// variants of one cell through *one* set of lockstep transients (the
-/// stimulus run and both leakage holds), sharing the sparsity pattern,
-/// the adaptive time grid and the multi-lane LU across all variants.
-/// The driver-baseline DC solves — identical for every lane, since the
-/// measurement fixture is never perturbed — run once per batch instead
-/// of once per trial.
-///
-/// Returns one metrics slot per input map (index-aligned) plus the
-/// pooled solver counters of every engine run. A lane whose waveforms
-/// cannot be measured (missing edge, unsettled leakage window) fails
-/// only its own slot; the outer `Err` is reserved for engine-level
-/// batch failures, on which the caller should de-batch the group onto
-/// the scalar per-trial path.
-///
-/// # Errors
-///
-/// Engine failures of any shared batched run (they abort all lanes of
-/// that run, so no per-lane result exists to report).
-pub fn characterize_batch(
-    kind: &ShifterKind,
-    domains: VoltagePair,
-    options: &CharacterizeOptions,
-    maps: &[PerturbationMap],
-) -> Result<(Vec<Result<CellMetrics, CoreError>>, SolverStats), CoreError> {
-    assert!(!maps.is_empty(), "batched characterization needs >= 1 lane");
-    let (wave, t_rise2, t_fall2, t_end) =
-        Harness::pulse_stimulus_with_slew(domains, 7e-9, 8.9e-9, options.input_slew);
-    let base = Harness::build(kind, domains, wave, options.load_farads);
-    // Compile each sample once against the shared element layout; every
-    // harness this protocol builds lists the same elements in the same
-    // order, so one compiled form serves all three runs per lane.
-    let compiled: Vec<CompiledPerturbation> =
-        maps.iter().map(|m| m.compile(&base.circuit)).collect();
-    let mut stats = SolverStats::default();
-
-    let batch = run_transient_batched(
-        &lane_circuits(&base.circuit, &compiled),
-        t_end,
-        &options.sim,
-    )?;
-    stats.merge(&batch.stats);
-
-    let vin_half = domains.vddi / 2.0;
-    let vout_half = domains.vddo / 2.0;
-    let margin = 0.5e-9;
-    // Per-lane delay/power/functionality extraction from the shared
-    // stimulus run; measurement failures stay per-lane.
-    struct StimulusSlot {
-        delay_rise: f64,
-        delay_fall: f64,
-        power_rise: f64,
-        power_fall: f64,
-        functional: bool,
-    }
-    let mut slots: Vec<Result<StimulusSlot, CoreError>> = Vec::with_capacity(maps.len());
-    for res in &batch.lanes {
-        let p = probes(&base, res);
-        let delay_fall = delay_between(
-            &p.input,
-            vin_half,
-            Edge::Rising,
-            &p.output,
-            vout_half,
-            Edge::Falling,
-            t_rise2 - margin,
-        );
-        let delay_rise = delay_between(
-            &p.input,
-            vin_half,
-            Edge::Falling,
-            &p.output,
-            vout_half,
-            Edge::Rising,
-            t_fall2 - margin,
-        );
-        let (delay_fall, delay_rise) = match (delay_fall, delay_rise) {
-            (Some(f), Some(r)) => (f, r),
-            (None, _) => {
-                slots.push(Err(CoreError::MissingEdge(
-                    "falling output edge not found".into(),
-                )));
-                continue;
-            }
-            (_, None) => {
-                slots.push(Err(CoreError::MissingEdge(
-                    "rising output edge not found".into(),
-                )));
-                continue;
-            }
-        };
-        let w = options.power_window;
-        let power_at = |t0: f64| {
-            average(&p.vddo_current, t0, t0 + w) * domains.vddo
-                + average(&p.vddi_current, t0, t0 + w) * domains.vddi
-        };
-        let low_phase_end = t_fall2 - 0.2e-9;
-        let tol = options.level_tolerance * domains.vddo;
-        let v_low = p.output.value_at(low_phase_end);
-        let v_high = p.output.value_at(t_end);
-        slots.push(Ok(StimulusSlot {
-            delay_rise,
-            delay_fall,
-            power_rise: power_at(t_fall2),
-            power_fall: power_at(t_rise2),
-            functional: v_low.abs() <= tol && (v_high - domains.vddo).abs() <= tol,
-        }));
-    }
-
-    let leak_low = leakage_batch(kind, domains, options, true, &compiled, &mut stats)?;
-    let leak_high = leakage_batch(kind, domains, options, false, &compiled, &mut stats)?;
-
-    let metrics = slots
-        .into_iter()
-        .zip(leak_low)
-        .zip(leak_high)
-        .map(|((slot, low), high)| {
-            let slot = slot?;
-            Ok(CellMetrics {
-                delay_rise: Time::from_secs(slot.delay_rise),
-                delay_fall: Time::from_secs(slot.delay_fall),
-                power_rise: Power::from_watts(slot.power_rise),
-                power_fall: Power::from_watts(slot.power_fall),
-                leakage_high: Current::from_amps(high?),
-                leakage_low: Current::from_amps(low?),
-                functional: slot.functional,
-            })
-        })
-        .collect();
-    Ok((metrics, stats))
-}
-
-/// One perturbed clone of `base` per compiled sample.
-fn lane_circuits(base: &Circuit, compiled: &[CompiledPerturbation]) -> Vec<Circuit> {
-    compiled
-        .iter()
-        .map(|c| {
-            let mut ckt = base.clone();
-            c.apply(&mut ckt);
-            ckt
-        })
-        .collect()
-}
-
-/// The batched counterpart of [`leakage_run`]: one lockstep long-hold
-/// transient for all lanes, one shared driver-baseline DC solve.
-fn leakage_batch(
-    kind: &ShifterKind,
-    domains: VoltagePair,
-    options: &CharacterizeOptions,
-    input_high: bool,
-    compiled: &[CompiledPerturbation],
-    stats: &mut SolverStats,
-) -> Result<Vec<Result<f64, CoreError>>, CoreError> {
-    let hold = if input_high { domains.vddi } else { 0.0 };
-    let wave = vls_device::SourceWaveform::Pwl(vec![
-        (0.0, 0.0),
-        (1e-9, 0.0),
-        (1.05e-9, domains.vddi),
-        (4e-9, domains.vddi),
-        (4.05e-9, 0.0),
-        (5e-9, 0.0),
-        (5.05e-9, hold),
-    ]);
-    let base = Harness::build(kind, domains, wave, options.load_farads);
-    let t_end = 400e-9;
-    let mut sim = options.sim.clone();
-    sim.max_step = Some(5e-9);
-    let batch = run_transient_batched(&lane_circuits(&base.circuit, compiled), t_end, &sim)?;
-    stats.merge(&batch.stats);
-    // The fixture is nominal in every lane: one baseline for the batch.
-    let p_driver = driver_baseline_power(domains, options, input_high, stats)?;
-    let window = 50e-9;
-    Ok(batch
-        .lanes
-        .iter()
-        .map(|res| {
-            let i_vddo = supply_current(res, Harness::VDDO_SOURCE);
-            let i_vddi = supply_current(res, Harness::VDDI_SOURCE);
-            let out = Waveform::new(res.times().to_vec(), res.node_series(base.output))
-                .expect("engine produces monotonic time");
-            if !is_settled(&out, window, 0.02 * domains.vddo) {
-                return Err(CoreError::NotSettled(format!(
-                    "leakage run (input {}) did not settle",
-                    if input_high { "high" } else { "low" }
-                )));
-            }
-            let p_total = average(&i_vddo, t_end - window, t_end) * domains.vddo
-                + average(&i_vddi, t_end - window, t_end) * domains.vddi;
-            Ok((p_total - p_driver) / domains.vddo)
-        })
-        .collect())
 }
 
 #[cfg(test)]

@@ -38,8 +38,8 @@ mod meas;
 mod report;
 
 pub use characterize::{
-    characterize, characterize_batch, characterize_with, characterize_with_stats,
-    characterize_worst_case, CellMetrics, CharacterizeOptions,
+    characterize, characterize_with, characterize_with_stats, characterize_worst_case, CellMetrics,
+    CharacterizeOptions,
 };
 pub use meas::{evaluate_all_meas, evaluate_meas, node_waveform};
 pub use report::{format_comparison_table, format_mc_table};

@@ -25,13 +25,11 @@
 //! ```
 
 mod bypass;
-mod lanes;
 mod mosfet;
 mod passive;
 mod source;
 
 pub use bypass::{BiasCache, MosBias, MosCapsCache, MosStamp, MosStampCache};
-pub use lanes::MosLanes;
 pub use mosfet::{MosCaps, MosGeometry, MosModel, MosOp, MosPolarity};
 pub use passive::{Capacitor, Resistor};
 pub use source::SourceWaveform;

@@ -161,7 +161,7 @@ pub struct MosModel {
 }
 
 /// Overflow-safe softplus `ln(1 + e^x)`.
-pub(crate) fn softplus(x: f64) -> f64 {
+fn softplus(x: f64) -> f64 {
     if x > 40.0 {
         x
     } else if x < -40.0 {
@@ -172,10 +172,10 @@ pub(crate) fn softplus(x: f64) -> f64 {
 }
 
 /// Derivative of [`softplus`], branch-for-branch consistent with it so
-/// the analytic lane evaluator differentiates exactly the function the
-/// scalar model computes (`d/dx ln(1+e^x) = σ(x)`; the saturated
+/// [`MosModel::op_analytic`] differentiates exactly the function the
+/// model computes (`d/dx ln(1+e^x) = σ(x)`; the saturated
 /// branches have derivatives 1 and `e^x` respectively).
-pub(crate) fn softplus_deriv(x: f64) -> f64 {
+fn softplus_deriv(x: f64) -> f64 {
     if x > 40.0 {
         1.0
     } else if x < -40.0 {
@@ -187,7 +187,7 @@ pub(crate) fn softplus_deriv(x: f64) -> f64 {
 }
 
 /// The EKV interpolation function `F(x) = ln²(1 + e^{x/2})`.
-pub(crate) fn ekv_f(x: f64) -> f64 {
+fn ekv_f(x: f64) -> f64 {
     let s = softplus(x / 2.0);
     s * s
 }
@@ -424,8 +424,7 @@ impl MosModel {
     /// computed by the same operation sequence as [`Self::ids_canonical`]
     /// so it is bitwise identical; the partials come from the analytic
     /// chain rule instead of central differences — roughly a 3.5× flop
-    /// reduction per Newton stamp, which is what makes the batched
-    /// Monte Carlo lanes pay off (the EKV evaluation dominates the MC
+    /// reduction per Newton stamp (the EKV evaluation dominates the MC
     /// profile, see BENCH_newton.json).
     fn ids_canonical_d(
         &self,
@@ -525,12 +524,13 @@ impl MosModel {
         }
     }
 
-    /// [`Self::op`] with analytically differentiated conductances — the
-    /// batched Monte Carlo lane evaluator. The current is bitwise
-    /// identical to [`Self::ids_terminal`]; the conductances agree with
-    /// the central-difference [`Self::op`] to the secant truncation
-    /// error (≈1e-6 relative), which is why the batched kernel is gated
-    /// behind `batch_lanes > 1` instead of replacing the scalar path.
+    /// [`Self::op`] with analytically differentiated conductances: one
+    /// model walk instead of seven. The current is bitwise identical to
+    /// [`Self::ids_terminal`]; the conductances agree with the
+    /// central-difference [`Self::op`] to the secant truncation error
+    /// (≈1e-6 relative). No engine path calls it yet: switching the
+    /// Newton kernels over moves a pinned Monte Carlo statistic past
+    /// its 1e-9 reference tolerance, so the kernels still call `op`.
     pub fn op_analytic(
         &self,
         geom: &MosGeometry,

@@ -370,10 +370,7 @@ pub(crate) fn solve_dc_at_guess(
             )?;
             (x, stats, solver)
         }
-        // A scalar DC solve under `Batched` is just the symbolic kernel:
-        // lane batching only exists across MC trials, never within one
-        // circuit's ladder.
-        KernelMode::Symbolic | KernelMode::Batched => {
+        KernelMode::Symbolic => {
             // One kernel for the whole ladder: the symbolic pattern,
             // LU storage, workspaces and bypass caches carry across
             // every homotopy stage.

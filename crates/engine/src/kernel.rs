@@ -47,12 +47,11 @@ use crate::SimOptions;
 
 /// Scatter sink: replays a recorded stamp sequence into the frozen CSC
 /// value array through the stamp-pointer map. Positions are ignored —
-/// the map already encodes them. Shared with the batched lockstep
-/// kernel (`batch.rs`), which scatters one value array per lane.
-pub(crate) struct PatternScatter<'a> {
-    pub(crate) values: &'a mut [f64],
-    pub(crate) map: &'a [usize],
-    pub(crate) cursor: usize,
+/// the map already encodes them.
+struct PatternScatter<'a> {
+    values: &'a mut [f64],
+    map: &'a [usize],
+    cursor: usize,
 }
 
 impl MatrixSink for PatternScatter<'_> {

@@ -35,7 +35,6 @@
 //! ```
 
 mod ac;
-mod batch;
 mod dc;
 mod kernel;
 mod mna;
@@ -45,7 +44,6 @@ mod sweep;
 mod tran;
 
 pub use ac::{log_space, run_ac, AcResult};
-pub use batch::{run_transient_batched, BatchTransient};
 pub use dc::{solve_dc, solve_dc_warm, DcSolution, DcSolveStats};
 pub use mna::unknown_count;
 pub use op_report::{op_report, MosRegion, OpEntry, OpReport};

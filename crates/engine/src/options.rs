@@ -24,14 +24,6 @@ pub enum KernelMode {
     /// positive) device-eval bypass.
     #[default]
     Symbolic,
-    /// Lane-batched kernel for Monte Carlo ensembles: K perturbed
-    /// trials of one circuit run in lockstep through one shared
-    /// sparsity pattern, SoA device evaluation with analytic
-    /// derivatives, and a multi-lane LU. Scalar analyses (single
-    /// circuit, or [`SimOptions::batch_lanes`] ≤ 1) behave exactly as
-    /// `Symbolic` — the batched machinery only engages on the batched
-    /// MC entry points.
-    Batched,
 }
 
 /// Tolerances and controls shared by all analyses. The defaults follow
@@ -105,12 +97,6 @@ pub struct SimOptions {
     /// for one transient run — the stepper's deterministic timeout.
     /// `None` (the default) is unlimited.
     pub step_budget: Option<u64>,
-    /// Monte Carlo lane width K: how many perturbed trials the batched
-    /// MC path evaluates in lockstep per shard. `1` (the default) keeps
-    /// every ensemble on the scalar per-trial path, bit-identical to
-    /// [`KernelMode::Symbolic`]; values > 1 route MC-capable flows
-    /// through `KernelMode::Batched`. Ignored by scalar analyses.
-    pub batch_lanes: usize,
 }
 
 impl Default for SimOptions {
@@ -135,7 +121,6 @@ impl Default for SimOptions {
             fault: FaultPlan::none(),
             newton_budget: None,
             step_budget: None,
-            batch_lanes: 1,
         }
     }
 }
@@ -175,10 +160,6 @@ impl SimOptions {
         }
         o.fault = FaultPlan::none();
         o.gmin = self.gmin * 100.0;
-        // Retries also de-batch: a lane that failed inside a K-wide
-        // lockstep group re-runs alone on the scalar path, so a batch
-        // pathology can never wedge the ladder.
-        o.batch_lanes = 1;
         if rung >= 2 {
             o.kernel = KernelMode::Legacy;
             o.bypass_vtol = 0.0;
@@ -209,8 +190,6 @@ mod tests {
         assert!(o.fault.is_empty());
         assert_eq!(o.newton_budget, None);
         assert_eq!(o.step_budget, None);
-        // Lane width 1 = scalar MC, bit-identical to Symbolic.
-        assert_eq!(o.batch_lanes, 1);
         // Cells (≤ 19 unknowns) stay on the dense path; only chip-scale
         // systems take the ordered sparse solve.
         assert_eq!(o.sparse_threshold, 64);
@@ -223,14 +202,12 @@ mod tests {
             ..SimOptions::default()
         };
         base.fault = FaultPlan::parse("pivot").unwrap();
-        base.batch_lanes = 8;
         base.bypass_vtol = 1e-6;
         assert_eq!(base.escalated(0), base, "rung 0 is the base attempt");
         let r1 = base.escalated(1);
         assert!(r1.fault.is_empty(), "retries run clean");
         assert_eq!(r1.gmin, base.gmin * 100.0);
         assert_eq!(r1.kernel, KernelMode::Symbolic);
-        assert_eq!(r1.batch_lanes, 1, "retries de-batch");
         assert_eq!(r1.bypass_vtol, base.bypass_vtol, "rung 1 keeps bypass");
         let r2 = base.escalated(2);
         assert_eq!(r2.gmin, base.gmin * 100.0);

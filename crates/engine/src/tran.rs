@@ -42,25 +42,6 @@ pub struct TransientResult {
 }
 
 impl TransientResult {
-    /// Assembles a result from raw parts — for the sibling stepping
-    /// cores (the batched lockstep loop in `batch.rs` produces one
-    /// `TransientResult` per lane).
-    pub(crate) fn from_parts(
-        times: Vec<f64>,
-        samples: Vec<Vec<f64>>,
-        n_node_unknowns: usize,
-        branch_names: Vec<String>,
-        stats: SolverStats,
-    ) -> Self {
-        Self {
-            times,
-            samples,
-            n_node_unknowns,
-            branch_names,
-            stats,
-        }
-    }
-
     /// The sample times, ascending, starting at 0.
     pub fn times(&self) -> &[f64] {
         &self.times
@@ -280,10 +261,7 @@ fn transient_from_state(
     // bypass caches persist across all time steps.
     let mut legacy_stats = SolverStats::default();
     let mut kernel = match options.kernel {
-        // A scalar transient under `Batched` runs the symbolic kernel;
-        // the lockstep machinery lives in `batch.rs` and only engages
-        // through the multi-circuit entry point.
-        KernelMode::Symbolic | KernelMode::Batched => {
+        KernelMode::Symbolic => {
             let probe: Vec<CompanionCap> = caps
                 .iter()
                 .map(|cap| CompanionCap {

@@ -43,7 +43,7 @@ pub use complex::{Complex, ComplexMatrix};
 pub use dense::{DenseLu, DenseMatrix};
 pub use order::{invert_permutation, is_identity, min_degree};
 pub use sparse::{CscMatrix, TripletMatrix};
-pub use splu::{MultiLu, MultiPivotReport, SparseLu};
+pub use splu::SparseLu;
 pub use stats::SolverStats;
 pub use vecops::{norm_inf, norm_two, weighted_converged};
 

@@ -404,345 +404,6 @@ impl SparseLu {
     }
 }
 
-/// Outcome bookkeeping of a [`MultiLu::refactorize_multi`] pass: how
-/// many lanes went through the shared frozen-pivot replay and how many
-/// needed a per-lane re-pivoting fallback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MultiPivotReport {
-    /// Lanes whose pivot-health check held under the shared order.
-    pub shared_lanes: usize,
-    /// Lanes that required a full per-lane factorization.
-    pub fallback_lanes: usize,
-}
-
-/// Multi-lane LU: K same-pattern matrices factorized through one shared
-/// symbolic structure and pivot order.
-///
-/// All Monte Carlo trials of one circuit share a sparsity pattern and —
-/// because process perturbations are small — almost always share a
-/// healthy pivot order too. `MultiLu` freezes the structure and pivot
-/// order from lane 0, stores the factor values lane-major
-/// (`val[p * lanes + lane]`, so the per-entry lanes sit contiguously
-/// for the vectorizable inner loops), and replays the scalar
-/// [`SparseLu::refactorize`] elimination across all lanes in one
-/// structure traversal. Each lane's arithmetic sequence is identical to
-/// the scalar replay, so a healthy lane's factors and solutions are
-/// **bitwise identical** to what a per-lane [`SparseLu`] would produce.
-///
-/// Lanes whose pivot-health check trips under the shared order are
-/// never served wrong answers: they drop to a private full re-pivoting
-/// [`SparseLu`] fallback, and only an unsalvageable lane fails the
-/// whole batch (the caller then de-batches to the scalar path).
-#[derive(Debug, Clone)]
-pub struct MultiLu {
-    /// Frozen structure + pivot order from lane 0. Its scalar factor
-    /// values are not used for solving; the lane-major arrays below are.
-    base: SparseLu,
-    lanes: usize,
-    /// Lane-major L values over `base`'s structure (unit diagonal
-    /// stored explicitly, like the scalar factor).
-    l_val: Vec<f64>,
-    /// Lane-major U values over `base`'s structure.
-    u_val: Vec<f64>,
-    /// Per-lane health under the shared pivot order.
-    shared: Vec<bool>,
-    /// Per-lane re-pivoting fallback for unhealthy lanes.
-    fallback: Vec<Option<SparseLu>>,
-    /// Dense workspace, `n * lanes`, lane-major.
-    scratch: Vec<f64>,
-    /// Fault-injection latch: pre-marks one lane unhealthy on the next
-    /// [`MultiLu::refactorize_multi`]. See [`MultiLu::degrade_lane`].
-    degraded_lane: Option<usize>,
-}
-
-impl MultiLu {
-    /// Factorizes K same-pattern matrices: `pattern` fixes the
-    /// structure, `lane_vals[lane]` holds that lane's nonzero values in
-    /// the pattern's storage order. The pivot order is chosen by a full
-    /// factorization of lane 0; every lane's values are then eliminated
-    /// through it (unhealthy lanes falling back per-lane).
-    ///
-    /// # Errors
-    ///
-    /// [`NumError::Singular`] when lane 0 cannot be factorized or some
-    /// lane is singular even under its own pivot order;
-    /// [`NumError::DimensionMismatch`] when a lane's value vector does
-    /// not match the pattern's nonzero count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane_vals` is empty or `tol` is not in `(0, 1]`.
-    pub fn factorize(
-        pattern: &CscMatrix,
-        lane_vals: &[Vec<f64>],
-        tol: f64,
-    ) -> Result<Self, NumError> {
-        assert!(!lane_vals.is_empty(), "MultiLu needs at least one lane");
-        let lanes = lane_vals.len();
-        for vals in lane_vals {
-            if vals.len() != pattern.nnz() {
-                return Err(NumError::DimensionMismatch {
-                    expected: pattern.nnz(),
-                    found: vals.len(),
-                });
-            }
-        }
-        let mut seed = pattern.clone();
-        seed.values_mut().copy_from_slice(&lane_vals[0]);
-        let base = SparseLu::factorize_with_tolerance(&seed, tol)?;
-        let mut multi = Self {
-            lanes,
-            l_val: vec![0.0; base.l_val.len() * lanes],
-            u_val: vec![0.0; base.u_val.len() * lanes],
-            shared: vec![true; lanes],
-            fallback: vec![None; lanes],
-            scratch: vec![0.0; base.n * lanes],
-            degraded_lane: None,
-            base,
-        };
-        multi.refactorize_multi(pattern, lane_vals, tol)?;
-        Ok(multi)
-    }
-
-    /// Numeric-only multi-lane refactorization over the frozen
-    /// structure: one traversal of the shared pattern eliminates all K
-    /// lanes, replaying the scalar left-looking order per lane (so each
-    /// healthy lane is bitwise identical to a scalar
-    /// [`SparseLu::refactorize`]). The per-column pivot-health check
-    /// runs per lane; lanes that trip it are re-factorized from scratch
-    /// with their own pivot order into a private fallback.
-    ///
-    /// # Errors
-    ///
-    /// [`NumError::DimensionMismatch`] on a wrong-dimension pattern,
-    /// wrong lane count, or wrong per-lane value length;
-    /// [`NumError::Singular`] when some lane is singular even under its
-    /// own pivot order (the whole batch fails; de-batch to recover).
-    pub fn refactorize_multi(
-        &mut self,
-        a: &CscMatrix,
-        lane_vals: &[Vec<f64>],
-        tol: f64,
-    ) -> Result<MultiPivotReport, NumError> {
-        assert!(tol > 0.0 && tol <= 1.0, "pivot tolerance must be in (0, 1]");
-        let n = self.base.n;
-        let k_lanes = self.lanes;
-        if a.dim() != n {
-            return Err(NumError::DimensionMismatch {
-                expected: n,
-                found: a.dim(),
-            });
-        }
-        if lane_vals.len() != k_lanes {
-            return Err(NumError::DimensionMismatch {
-                expected: k_lanes,
-                found: lane_vals.len(),
-            });
-        }
-        for vals in lane_vals {
-            if vals.len() != a.nnz() {
-                return Err(NumError::DimensionMismatch {
-                    expected: a.nnz(),
-                    found: vals.len(),
-                });
-            }
-        }
-        self.shared.iter_mut().for_each(|s| *s = true);
-        self.fallback.iter_mut().for_each(|f| *f = None);
-        if let Some(lane) = self.degraded_lane.take() {
-            // Injected divergence: pre-mark one lane unhealthy so it
-            // takes the per-lane fallback, exactly as if its values had
-            // drifted past the health tolerance at column 0.
-            self.shared[lane % k_lanes] = false;
-        }
-        let base = &self.base;
-        let mut y = std::mem::take(&mut self.scratch);
-        y.resize(n * k_lanes, 0.0);
-        for k in 0..n {
-            // Zero the reach (stored U rows + L rows) across all lanes.
-            for p in base.u_ptr[k]..base.u_ptr[k + 1] {
-                let r = base.u_row[p];
-                y[r * k_lanes..(r + 1) * k_lanes].fill(0.0);
-            }
-            for p in base.l_ptr[k]..base.l_ptr[k + 1] {
-                let r = base.l_row[p];
-                y[r * k_lanes..(r + 1) * k_lanes].fill(0.0);
-            }
-            // Scatter this column of every lane into pivot order.
-            for p in a.col_ptr()[k]..a.col_ptr()[k + 1] {
-                let r = base.pinv[a.row_indices()[p]];
-                debug_assert!(
-                    {
-                        let in_u = base.u_row[base.u_ptr[k]..base.u_ptr[k + 1]].contains(&r);
-                        let in_l = base.l_row[base.l_ptr[k]..base.l_ptr[k + 1]].contains(&r);
-                        in_u || in_l
-                    },
-                    "entry ({r},{k}) outside the factorized pattern"
-                );
-                for (lane, vals) in lane_vals.iter().enumerate() {
-                    y[r * k_lanes + lane] = vals[p];
-                }
-            }
-            // Replay the elimination: outer loop over the stored
-            // topological order, inner loop over lanes. For any single
-            // lane the operation sequence is exactly the scalar
-            // `refactorize` — that's the bitwise-identity invariant.
-            let diag_pos = base.u_ptr[k + 1] - 1;
-            for p in base.u_ptr[k]..diag_pos {
-                let j = base.u_row[p];
-                for lane in 0..k_lanes {
-                    let yj = y[j * k_lanes + lane];
-                    self.u_val[p * k_lanes + lane] = yj;
-                    if yj == 0.0 {
-                        continue;
-                    }
-                    for q in (base.l_ptr[j] + 1)..base.l_ptr[j + 1] {
-                        y[base.l_row[q] * k_lanes + lane] -= self.l_val[q * k_lanes + lane] * yj;
-                    }
-                }
-            }
-            // Per-lane frozen pivot with the scalar health check. A lane
-            // that trips is only flagged here — its stale factor values
-            // keep participating harmlessly (they are never read for
-            // answers) and the fallback below re-pivots it from scratch.
-            for lane in 0..k_lanes {
-                if !self.shared[lane] {
-                    continue;
-                }
-                let pivot = y[k * k_lanes + lane];
-                let mut best_mag = pivot.abs();
-                for q in (base.l_ptr[k] + 1)..base.l_ptr[k + 1] {
-                    best_mag = best_mag.max(y[base.l_row[q] * k_lanes + lane].abs());
-                }
-                if pivot == 0.0 || pivot.abs() < tol * best_mag {
-                    self.shared[lane] = false;
-                    continue;
-                }
-                self.u_val[diag_pos * k_lanes + lane] = pivot;
-                for q in (base.l_ptr[k] + 1)..base.l_ptr[k + 1] {
-                    self.l_val[q * k_lanes + lane] = y[base.l_row[q] * k_lanes + lane] / pivot;
-                }
-            }
-            // L's unit diagonal (first entry per column), all lanes.
-            for lane in 0..k_lanes {
-                self.l_val[base.l_ptr[k] * k_lanes + lane] = 1.0;
-            }
-        }
-        self.scratch = y;
-        // Unhealthy lanes: full per-lane re-pivoting factorization.
-        // Never a wrong answer — an unsalvageable lane fails the batch.
-        let mut pattern = None;
-        for (lane, vals) in lane_vals.iter().enumerate() {
-            if self.shared[lane] {
-                continue;
-            }
-            let own = pattern.get_or_insert_with(|| a.clone());
-            own.values_mut().copy_from_slice(vals);
-            self.fallback[lane] = Some(SparseLu::factorize_with_tolerance(own, tol)?);
-        }
-        let fallback_lanes = self.shared.iter().filter(|s| !**s).count();
-        Ok(MultiPivotReport {
-            shared_lanes: k_lanes - fallback_lanes,
-            fallback_lanes,
-        })
-    }
-
-    /// Solves all K systems: `b` and `x` are lane-contiguous, lane `k`
-    /// occupying `[k*n .. (k+1)*n]`. Healthy lanes run the shared
-    /// factors (bitwise identical to the scalar
-    /// [`SparseLu::solve_into`]); fallback lanes use their private
-    /// re-pivoted factors.
-    ///
-    /// # Errors
-    ///
-    /// [`NumError::DimensionMismatch`] if `b` or `x` is not `n·lanes`
-    /// long.
-    pub fn solve_into_multi(&self, b: &[f64], x: &mut [f64]) -> Result<(), NumError> {
-        let n = self.base.n;
-        let expected = n * self.lanes;
-        if b.len() != expected {
-            return Err(NumError::DimensionMismatch {
-                expected,
-                found: b.len(),
-            });
-        }
-        if x.len() != expected {
-            return Err(NumError::DimensionMismatch {
-                expected,
-                found: x.len(),
-            });
-        }
-        for lane in 0..self.lanes {
-            let (bl, xl) = (
-                &b[lane * n..(lane + 1) * n],
-                &mut x[lane * n..(lane + 1) * n],
-            );
-            if let Some(own) = &self.fallback[lane] {
-                own.solve_into(bl, xl)?;
-            } else {
-                self.solve_lane(lane, bl, xl);
-            }
-        }
-        Ok(())
-    }
-
-    /// Scalar solve over one lane of the shared lane-major factors —
-    /// the exact operation sequence of [`SparseLu::solve_into`].
-    fn solve_lane(&self, lane: usize, b: &[f64], x: &mut [f64]) {
-        let base = &self.base;
-        let n = base.n;
-        let k_lanes = self.lanes;
-        for (i, &bi) in b.iter().enumerate() {
-            x[base.pinv[i]] = bi;
-        }
-        for j in 0..n {
-            let xj = x[j];
-            if xj == 0.0 {
-                continue;
-            }
-            for p in (base.l_ptr[j] + 1)..base.l_ptr[j + 1] {
-                x[base.l_row[p]] -= self.l_val[p * k_lanes + lane] * xj;
-            }
-        }
-        for j in (0..n).rev() {
-            let diag_pos = base.u_ptr[j + 1] - 1;
-            let xj = x[j] / self.u_val[diag_pos * k_lanes + lane];
-            x[j] = xj;
-            if xj == 0.0 {
-                continue;
-            }
-            for p in base.u_ptr[j]..diag_pos {
-                x[base.u_row[p]] -= self.u_val[p * k_lanes + lane] * xj;
-            }
-        }
-    }
-
-    /// Arms a one-shot injected lane divergence: on the next
-    /// [`MultiLu::refactorize_multi`] the given lane (mod K) is treated
-    /// as having tripped the pivot-health check and re-pivoted through
-    /// the per-lane fallback. Its answers stay correct — that is the
-    /// point of the fault: proving the divergence path is harmless.
-    pub fn degrade_lane(&mut self, lane: usize) {
-        self.degraded_lane = Some(lane);
-    }
-
-    /// Number of lanes K.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// The factorized dimension (per lane).
-    pub fn dim(&self) -> usize {
-        self.base.n
-    }
-
-    /// `true` when the lane went through the shared pivot order on the
-    /// last refactorization (`false` = per-lane fallback).
-    pub fn lane_shared(&self, lane: usize) -> bool {
-        self.shared[lane]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1029,145 +690,6 @@ mod tests {
         assert_eq!(lu.dim(), 3);
     }
 
-    /// Builds a random diagonally-dominant structure plus K value
-    /// variants of it (same pattern, perturbed values — the MC shape).
-    fn lane_fixture(
-        rng: &mut crate::rng::Xoshiro256pp,
-        n: usize,
-        lanes: usize,
-    ) -> (CscMatrix, Vec<Vec<f64>>) {
-        use crate::rng::Rng;
-        let mut coords: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
-        for i in 0..n {
-            for _ in 0..rng.gen_index(4) {
-                coords.push((i, rng.gen_index(n)));
-            }
-        }
-        let mut t = TripletMatrix::new(n);
-        for &(r, c) in &coords {
-            t.add(r, c, if r == c { 1.0 } else { 0.1 });
-        }
-        let pattern = t.to_csc();
-        let mut lane_vals = Vec::new();
-        for _ in 0..lanes {
-            let mut t = TripletMatrix::new(n);
-            for &(r, c) in &coords {
-                let v = if r == c {
-                    rng.gen_range(1.0, 10.0) + n as f64
-                } else {
-                    rng.gen_range(-1.0, 1.0)
-                };
-                t.add(r, c, v);
-            }
-            lane_vals.push(t.to_csc().values().to_vec());
-        }
-        (pattern, lane_vals)
-    }
-
-    #[test]
-    fn multi_lu_is_bitwise_identical_to_per_lane_scalar() {
-        use crate::rng::{Rng, Xoshiro256pp};
-        let mut rng = Xoshiro256pp::seed_from_u64(11);
-        for trial in 0..20 {
-            let n = 3 + rng.gen_index(15);
-            let lanes = 1 + rng.gen_index(8);
-            let (pattern, lane_vals) = lane_fixture(&mut rng, n, lanes);
-            let multi = MultiLu::factorize(&pattern, &lane_vals, 1e-3).unwrap();
-            let b: Vec<f64> = (0..n * lanes).map(|_| rng.gen_range(-5.0, 5.0)).collect();
-            let mut x = vec![0.0; n * lanes];
-            multi.solve_into_multi(&b, &mut x).unwrap();
-            // The scalar reference replays exactly what the batched MC
-            // kernel would do per trial: factorize the group leader,
-            // refactorize with each lane's values, solve.
-            let mut seed = pattern.clone();
-            seed.values_mut().copy_from_slice(&lane_vals[0]);
-            let mut scalar = SparseLu::factorize_with_tolerance(&seed, 1e-3).unwrap();
-            for lane in 0..lanes {
-                assert!(
-                    multi.lane_shared(lane),
-                    "trial {trial}: unexpected fallback"
-                );
-                let mut a = pattern.clone();
-                a.values_mut().copy_from_slice(&lane_vals[lane]);
-                scalar.refactorize(&a, 1e-3).unwrap();
-                let mut xref = vec![0.0; n];
-                scalar
-                    .solve_into(&b[lane * n..(lane + 1) * n], &mut xref)
-                    .unwrap();
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(&x[lane * n..(lane + 1) * n]),
-                    bits(&xref),
-                    "trial {trial} lane {lane}: solution differs"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn multi_lu_health_trip_falls_back_per_lane() {
-        // Lane 0 healthy; lane 1's diagonal collapses so the frozen
-        // pivot order fails its health check — the lane must re-pivot
-        // privately and still answer correctly.
-        let mut t = TripletMatrix::new(2);
-        t.add(0, 0, 10.0);
-        t.add(1, 0, 1.0);
-        t.add(0, 1, 1.0);
-        t.add(1, 1, 10.0);
-        let pattern = t.to_csc();
-        let healthy = pattern.values().to_vec();
-        let mut bad = TripletMatrix::new(2);
-        bad.add(0, 0, 1e-9);
-        bad.add(1, 0, 1.0);
-        bad.add(0, 1, 1.0);
-        bad.add(1, 1, 10.0);
-        let divergent = bad.to_csc().values().to_vec();
-        let multi = MultiLu::factorize(&pattern, &[healthy, divergent], 1e-3).unwrap();
-        assert!(multi.lane_shared(0));
-        assert!(!multi.lane_shared(1));
-        let b = [1.0, 2.0, 1.0, 2.0];
-        let mut x = [0.0; 4];
-        multi.solve_into_multi(&b, &mut x).unwrap();
-        let r = bad.to_csc().mul_vec(&x[2..4]).unwrap();
-        assert!((r[0] - 1.0).abs() < 1e-9 && (r[1] - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn multi_lu_degrade_lane_exercises_fallback_without_changing_answers() {
-        use crate::rng::{Rng, Xoshiro256pp};
-        let mut rng = Xoshiro256pp::seed_from_u64(23);
-        let n = 10;
-        let lanes = 4;
-        let (pattern, lane_vals) = lane_fixture(&mut rng, n, lanes);
-        let mut multi = MultiLu::factorize(&pattern, &lane_vals, 1e-3).unwrap();
-        let b: Vec<f64> = (0..n * lanes).map(|_| rng.gen_range(-5.0, 5.0)).collect();
-        let mut x_clean = vec![0.0; n * lanes];
-        multi.solve_into_multi(&b, &mut x_clean).unwrap();
-
-        multi.degrade_lane(2);
-        let report = multi.refactorize_multi(&pattern, &lane_vals, 1e-3).unwrap();
-        assert_eq!(report.fallback_lanes, 1);
-        assert_eq!(report.shared_lanes, lanes - 1);
-        assert!(!multi.lane_shared(2));
-        let mut x_faulted = vec![0.0; n * lanes];
-        multi.solve_into_multi(&b, &mut x_faulted).unwrap();
-        // Un-degraded lanes are bitwise untouched; the degraded lane's
-        // re-pivoted answer agrees to factorization accuracy.
-        for lane in [0, 1, 3] {
-            assert_eq!(
-                x_clean[lane * n..(lane + 1) * n],
-                x_faulted[lane * n..(lane + 1) * n]
-            );
-        }
-        for i in 0..n {
-            assert!((x_clean[2 * n + i] - x_faulted[2 * n + i]).abs() < 1e-9);
-        }
-        // The latch is one-shot: the next refactorization shares again.
-        let report = multi.refactorize_multi(&pattern, &lane_vals, 1e-3).unwrap();
-        assert_eq!(report.fallback_lanes, 0);
-        assert!(multi.lane_shared(2));
-    }
-
     #[test]
     fn singleton_matrix_factorizes_and_zero_singleton_is_typed() {
         let mut t = TripletMatrix::new(1);
@@ -1254,97 +776,5 @@ mod tests {
                 assert_eq!(opat.get(back[r], back[c]), reference.get(r, c));
             }
         }
-    }
-
-    #[test]
-    fn multi_lu_lane_fallback_still_works_on_an_ordered_pattern() {
-        // The MultiLu lane-sharing and per-lane fallback contract must
-        // survive a fill-reducing permutation of the pattern: order the
-        // stamp sequence, assemble each lane through the permuted map,
-        // factorize the lanes, degrade one, and require correct
-        // answers from both the shared and the fallback lanes.
-        use crate::rng::{Rng, Xoshiro256pp};
-        let mut rng = Xoshiro256pp::seed_from_u64(77);
-        let n = 12;
-        // Arrow-plus-chain structure so the ordering is non-trivial.
-        let mut coords: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
-        for i in 1..n {
-            coords.push((0, i));
-            coords.push((i, 0));
-        }
-        for i in 2..n {
-            coords.push((i - 1, i));
-            coords.push((i, i - 1));
-        }
-        let mut t = TripletMatrix::new(n);
-        for &(r, c) in &coords {
-            t.add(r, c, 0.0);
-        }
-        let (pattern, map, perm) = t.compile_ordered();
-        assert!(!crate::order::is_identity(&perm), "ordering must act");
-        let lanes = 3;
-        let mut lane_vals: Vec<Vec<f64>> = Vec::new();
-        let mut lane_dense: Vec<crate::DenseMatrix> = Vec::new();
-        for _ in 0..lanes {
-            let mut vals = vec![0.0; pattern.nnz()];
-            let mut dense = crate::DenseMatrix::zeros(n);
-            for (&slot, &(r, c)) in map.iter().zip(&coords) {
-                let v = if r == c {
-                    rng.gen_range(4.0, 9.0) + n as f64
-                } else {
-                    rng.gen_range(-1.0, 1.0)
-                };
-                vals[slot] += v;
-                dense.add(r, c, v);
-            }
-            lane_vals.push(vals);
-            lane_dense.push(dense);
-        }
-        let mut multi = MultiLu::factorize(&pattern, &lane_vals, 1e-3).unwrap();
-        multi.degrade_lane(1);
-        let report = multi.refactorize_multi(&pattern, &lane_vals, 1e-3).unwrap();
-        assert_eq!(report.fallback_lanes, 1);
-        assert!(!multi.lane_shared(1));
-        // Solve in the permuted space; compare in the original space.
-        let back = crate::order::invert_permutation(&perm); // back[old] = new
-        let b_orig: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
-        let mut b = vec![0.0; n * lanes];
-        for lane in 0..lanes {
-            for old in 0..n {
-                b[lane * n + back[old]] = b_orig[old];
-            }
-        }
-        let mut x = vec![0.0; n * lanes];
-        multi.solve_into_multi(&b, &mut x).unwrap();
-        for (lane, dense) in lane_dense.iter().enumerate() {
-            let xd = dense.solve(&b_orig).unwrap();
-            for old in 0..n {
-                let got = x[lane * n + back[old]];
-                assert!(
-                    (got - xd[old]).abs() < 1e-9,
-                    "lane {lane} unknown {old}: {got} vs {}",
-                    xd[old]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn multi_lu_rejects_mismatched_lane_values() {
-        let mut t = TripletMatrix::new(2);
-        t.add(0, 0, 2.0);
-        t.add(1, 1, 3.0);
-        let pattern = t.to_csc();
-        assert!(matches!(
-            MultiLu::factorize(&pattern, &[vec![2.0]], 1.0),
-            Err(NumError::DimensionMismatch { .. })
-        ));
-        let multi = MultiLu::factorize(&pattern, &[vec![2.0, 3.0]], 1.0).unwrap();
-        assert_eq!(multi.lanes(), 1);
-        assert_eq!(multi.dim(), 2);
-        assert!(matches!(
-            multi.solve_into_multi(&[1.0], &mut [0.0, 0.0]),
-            Err(NumError::DimensionMismatch { .. })
-        ));
     }
 }

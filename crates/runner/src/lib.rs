@@ -63,10 +63,7 @@ pub use ensemble::{
     run_ensemble, run_ensemble_resilient, Ensemble, Job, JobOutcome, ResilientEnsemble,
     RetryPolicy, TrialFailure, TrialSuccess,
 };
-pub use queue::{
-    run_indexed, run_indexed_reported, run_lane_groups_reported, FailureTaxonomyEntry, RunReport,
-    ShardReport,
-};
+pub use queue::{run_indexed, run_indexed_reported, FailureTaxonomyEntry, RunReport, ShardReport};
 pub use seed::{derive_seed, rng_for_run};
 
 /// How an experiment is spread across workers.

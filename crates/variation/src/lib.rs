@@ -143,87 +143,13 @@ impl PerturbationMap {
             } = e
             {
                 if let Some(&(dw, dl, vt_scale)) = self.entries.get(name.as_str()) {
-                    apply_deltas(model, geom, dw, dl, vt_scale);
+                    // Additive W/L offsets clamped to 10 % of nominal,
+                    // multiplicative VT scale.
+                    let w = (geom.width() + dw).max(0.1 * geom.width());
+                    let l = (geom.length() + dl).max(0.1 * geom.length());
+                    *geom = vls_device::MosGeometry::new(w, l);
+                    *model = model.with_vt0(model.vt0 * vt_scale);
                 }
-            }
-        }
-    }
-
-    /// Compiles the name-keyed map against one circuit's element order
-    /// into index-addressed deltas. Sampling stays keyed by stable
-    /// device names (so one process sample applies consistently to
-    /// every circuit of a multi-run flow), but a Monte Carlo ensemble
-    /// re-applies the same map to many clones of the *same* circuit —
-    /// there the compiled form replaces a hash lookup per element per
-    /// application with a linear walk over the matched indices.
-    pub fn compile(&self, circuit: &Circuit) -> CompiledPerturbation {
-        let mut deltas = Vec::with_capacity(self.entries.len());
-        for (idx, e) in circuit.elements().iter().enumerate() {
-            if let Element::Mosfet { name, .. } = e {
-                if let Some(&d) = self.entries.get(name.as_str()) {
-                    deltas.push((idx, d));
-                }
-            }
-        }
-        CompiledPerturbation { deltas }
-    }
-}
-
-/// The shared delta-application rule: additive W/L offsets clamped to
-/// 10 % of nominal, multiplicative VT scale. One definition keeps the
-/// name-keyed and index-compiled paths bit-identical.
-fn apply_deltas(
-    model: &mut vls_device::MosModel,
-    geom: &mut vls_device::MosGeometry,
-    dw: f64,
-    dl: f64,
-    vt_scale: f64,
-) {
-    let w = (geom.width() + dw).max(0.1 * geom.width());
-    let l = (geom.length() + dl).max(0.1 * geom.length());
-    *geom = vls_device::MosGeometry::new(w, l);
-    *model = model.with_vt0(model.vt0 * vt_scale);
-}
-
-/// A [`PerturbationMap`] compiled against one circuit's element order:
-/// the Monte Carlo fast path. Applying it touches exactly the matched
-/// element indices — no hashing, no name comparisons — and produces a
-/// circuit bit-identical to [`PerturbationMap::apply`] on the same
-/// base. Only valid for circuits with the element layout it was
-/// compiled from (the batched MC path applies one compiled sample per
-/// lane to clones of a single base circuit).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledPerturbation {
-    /// `(element index, (dw, dl, vt_scale))`, ascending by index.
-    deltas: Vec<(usize, (f64, f64, f64))>,
-}
-
-impl CompiledPerturbation {
-    /// Number of perturbed devices.
-    pub fn len(&self) -> usize {
-        self.deltas.len()
-    }
-
-    /// `true` when no device is perturbed.
-    pub fn is_empty(&self) -> bool {
-        self.deltas.is_empty()
-    }
-
-    /// Applies the compiled deltas by element index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index points at a non-MOSFET element — the circuit
-    /// does not have the layout this sample was compiled from.
-    pub fn apply(&self, circuit: &mut Circuit) {
-        let elements = circuit.elements_mut();
-        for &(idx, (dw, dl, vt_scale)) in &self.deltas {
-            match &mut elements[idx] {
-                Element::Mosfet { model, geom, .. } => apply_deltas(model, geom, dw, dl, vt_scale),
-                other => panic!(
-                    "compiled perturbation index {idx} is not a MOSFET (found {})",
-                    other.name()
-                ),
             }
         }
     }
@@ -498,10 +424,9 @@ pub fn monte_carlo_trials<T: Send, E: Send>(
 /// Reproduces trial `index` of the ensemble `monte_carlo_trials` would
 /// run for `(circuit, spec, master_seed, filter)`: the derived per-trial
 /// seed and the exact process sample, independent of which trials run
-/// around it. This is the *definition* of the per-trial stream — both
-/// the scalar path above and the lane-batched Monte Carlo scheduler
-/// call it, so packing trials into lockstep groups can never change
-/// which perturbation a trial index receives.
+/// around it. This is the *definition* of the per-trial stream: the
+/// ensemble above and every caller that replays a single trial go
+/// through it, so a trial index always receives the same perturbation.
 pub fn sample_trial_map(
     circuit: &Circuit,
     spec: &VariationSpec,
@@ -708,39 +633,6 @@ mod tests {
             {
                 assert_eq!(ga, gb);
                 assert_eq!(ma.vt0, mb.vt0);
-            }
-        }
-    }
-
-    #[test]
-    fn compiled_perturbation_is_bit_identical_to_named_apply() {
-        let c = base_circuit();
-        let mut rng = Xoshiro256pp::seed_from_u64(17);
-        let map = sample_perturbation(&c, &VariationSpec::paper(), &mut rng, |n| n != "m2");
-        let compiled = map.compile(&c);
-        assert_eq!(compiled.len(), 3);
-        assert!(!compiled.is_empty());
-        let mut by_name = c.clone();
-        let mut by_index = c.clone();
-        map.apply(&mut by_name);
-        compiled.apply(&mut by_index);
-        for (a, b) in by_name.elements().iter().zip(by_index.elements()) {
-            if let (
-                Element::Mosfet {
-                    geom: ga,
-                    model: ma,
-                    ..
-                },
-                Element::Mosfet {
-                    geom: gb,
-                    model: mb,
-                    ..
-                },
-            ) = (a, b)
-            {
-                assert_eq!(ga.width().to_bits(), gb.width().to_bits());
-                assert_eq!(ga.length().to_bits(), gb.length().to_bits());
-                assert_eq!(ma.vt0.to_bits(), mb.vt0.to_bits());
             }
         }
     }

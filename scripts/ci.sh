@@ -24,9 +24,9 @@ VLS_JOBS=1 cargo test -q --test runner_determinism --test golden_metrics_mc
 # The charlib leg: build a smoke grid through the CLI, prove the
 # artifact round-trips (second run loads instead of rebuilding and the
 # bytes don't move), serve one query from it, then run the surrogate
-# accuracy/golden/artifact suites in both the serial and the
-# default-parallelism configuration — the fill must be bit-identical
-# either way.
+# accuracy/golden/artifact suites serially — the default-parallelism
+# pass ran in the workspace suite above, and the fill must be
+# bit-identical either way.
 echo "==> charlib smoke grid (characterize --smoke, artifact round trip)"
 CHARLIB_TMP="$(mktemp -d)"
 trap 'rm -rf "$CHARLIB_TMP"' EXIT
@@ -41,31 +41,29 @@ cargo run -q --release -p vls-cli --bin vls-spice -- \
     query --lib "$CHARLIB_TMP/smoke.json" --vddi 0.8 --vddo 1.2 \
     | grep -q "source: Table"
 
-echo "==> cargo test (charlib suites, VLS_JOBS=1 and default jobs)"
+echo "==> cargo test (charlib suites, VLS_JOBS=1)"
 VLS_JOBS=1 cargo test -q --test charlib_surrogate --test charlib_golden --test charlib_artifact
-cargo test -q --test charlib_surrogate --test charlib_golden --test charlib_artifact
 
 # The Newton-kernel leg: the symbolic/legacy equivalence suite must
-# hold on one worker and at default parallelism (the kernel is pure
-# per-circuit state, so sharding must not change a single bit), then
-# the release-mode speedup bench enforces its ≥2x floor on the SoC
-# mesh with smoke-sized workloads and refreshes BENCH_newton.json.
-echo "==> cargo test (newton kernel equivalence, VLS_JOBS=1 and default jobs)"
+# hold on one worker as it did at default parallelism in the workspace
+# suite (the kernel is pure per-circuit state, so sharding must not
+# change a single bit), then the release-mode speedup bench enforces
+# its ≥2x floor on the SoC mesh with smoke-sized workloads (JSON under
+# $TMPDIR; only a full run refreshes BENCH_newton.json).
+echo "==> cargo test (newton kernel equivalence, VLS_JOBS=1)"
 VLS_JOBS=1 cargo test -q --test newton_kernel
-cargo test -q --test newton_kernel
 
 echo "==> newton_speedup --smoke (release, 2x floor enforced)"
 cargo run -q --release -p vls-bench --bin newton_speedup -- --smoke
 
 # The fault leg: the soak suite (256-trial injected-fault ensemble,
 # taxonomy/replay determinism, counter invariants, fuzzed
-# perturbations) must hold serial and at default parallelism, then a
-# release-mode smoke soak drives the CLI with a fault plan armed —
-# the base attempt must fail with a replay line, and the retry ladder
-# must recover the same deck.
-echo "==> cargo test (fault soak, VLS_JOBS=1 and default jobs)"
+# perturbations) must hold serially as it did at default parallelism
+# in the workspace suite, then a release-mode smoke soak drives the
+# CLI with a fault plan armed — the base attempt must fail with a
+# replay line, and the retry ladder must recover the same deck.
+echo "==> cargo test (fault soak, VLS_JOBS=1)"
 VLS_JOBS=1 cargo test -q --test fault_soak
-cargo test -q --test fault_soak
 
 echo "==> fault-plan smoke soak (release, CLI inject + retry recovery)"
 FAULT_DECK="$CHARLIB_TMP/fault_smoke.sp"
@@ -92,17 +90,12 @@ cargo run -q --release -p vls-cli --bin vls-spice -- \
     "$FAULT_DECK" --fault-plan "$FAULT_PLAN" --seed 0xf5 --retry 3 \
     | grep -q "recovered at escalation rung"
 
-# The check leg: clippy scoped to the checker crate (it is the newest
-# surface and must stay warning-free on its own), the chip-scale smoke
-# benchmark (clean 60/240-instance floorplans, worker-count byte
-# identity, 1.5x hierarchical speedup floor, all five MSV rules on the
-# mutated chip, refreshes BENCH_check.json), then a CLI baseline
-# round-trip: record the fingerprints of a known-bad deck (exit 1),
-# re-check against the recording and the gate must pass with the
-# findings suppressed.
-echo "==> cargo clippy -p vls-check (deny warnings)"
-cargo clippy -p vls-check --all-targets -- -D warnings
-
+# The check leg: the chip-scale smoke benchmark (clean 60/240-instance
+# floorplans, worker-count byte identity, 1.5x hierarchical speedup
+# floor, all five MSV rules on the mutated chip, JSON under $TMPDIR),
+# then a CLI baseline round-trip: record the fingerprints of a
+# known-bad deck (exit 1), re-check against the recording and the gate
+# must pass with the findings suppressed.
 echo "==> check_scale --smoke (release, speedup floor + baseline round trip)"
 cargo run -q --release -p vls-bench --bin check_scale -- --smoke
 
@@ -126,20 +119,16 @@ cargo run -q --release -p vls-cli --bin vls-spice -- \
     check "$CHECK_DECK" --baseline "$CHARLIB_TMP/check_base.json" \
     | grep -q "suppressed"
 
-# The serve leg: clippy scoped to the daemon crate, the protocol and
-# soak suites on one worker and at default parallelism (the soak
-# demands byte-identical bodies and balanced counters either way),
-# the release-mode load generator with its 500-QPS floor (reusing the
-# smoke artifact built above, refreshes BENCH_serve.json), then a CLI
-# smoke: validate the deployment with --check-config, boot a real
-# daemon on an ephemeral port, drive it over the wire with the load
-# generator's attach probe, and require a clean shutdown.
-echo "==> cargo clippy -p vls-serve (deny warnings)"
-cargo clippy -p vls-serve --all-targets -- -D warnings
-
-echo "==> cargo test (serve protocol + soak, VLS_JOBS=1 and default jobs)"
+# The serve leg: the protocol and soak suites on one worker (the
+# default-parallelism pass ran in the workspace suite; the soak demands
+# byte-identical bodies and balanced counters either way), the
+# release-mode load generator with its 500-QPS floor (reusing the
+# smoke artifact built above, JSON under $TMPDIR), then a CLI smoke:
+# validate the deployment with --check-config, boot a real daemon on
+# an ephemeral port, drive it over the wire with the load generator's
+# attach probe, and require a clean shutdown.
+echo "==> cargo test (serve protocol + soak, VLS_JOBS=1)"
 VLS_JOBS=1 cargo test -q --test serve_api --test serve_soak
-cargo test -q --test serve_api --test serve_soak
 
 echo "==> serve_qps --smoke (release, 500-QPS floor enforced)"
 cargo run -q --release -p vls-bench --bin serve_qps -- \
@@ -165,49 +154,26 @@ cargo run -q --release -p vls-bench --bin serve_qps -- \
 wait "$SERVE_PID"
 grep -q "clean shutdown" "$SERVE_LOG"
 
-# The opt leg: clippy scoped to the optimizer crate, the regression
-# suite on one worker and at default parallelism (the outcome —
+# The opt leg: the regression suite on one worker (the
+# default-parallelism pass ran in the workspace suite; the outcome —
 # trajectory, accounting, verdicts, rendered JSON — must be
 # bit-identical either way), then the release-mode convergence bench
 # with smoke sizing: it enforces the evaluation budget, the accepted
 # optimum's surrogate-vs-exact gap tolerance and the 50x per-eval
-# speedup floor, and refreshes BENCH_opt.json.
-echo "==> cargo clippy -p vls-opt (deny warnings)"
-cargo clippy -p vls-opt --all-targets -- -D warnings
-
-echo "==> cargo test (opt regression, VLS_JOBS=1 and default jobs)"
+# speedup floor, and writes its JSON under $TMPDIR.
+echo "==> cargo test (opt regression, VLS_JOBS=1)"
 VLS_JOBS=1 cargo test -q --test opt_regression
-cargo test -q --test opt_regression
 
 echo "==> opt_convergence --smoke (release, budget + gap + 50x floors enforced)"
 cargo run -q --release -p vls-bench --bin opt_convergence -- --smoke
 
-# The batched-MC leg: the lockstep lane suite on one worker and at
-# default parallelism (group composition depends only on (trials, K),
-# so the worker grid must be bit-identical), then the release-mode
-# lane-scaling bench: K=1 must match the scalar featured path
-# statistic for statistic, cross-K statistics must hold inside the
-# shared-grid band, and the ≥2x floor is enforced at K>=8 (refreshes
-# BENCH_mc_batched.json).
-echo "==> cargo test (batched MC, VLS_JOBS=1 and default jobs)"
-VLS_JOBS=1 cargo test -q --test mc_batched
-cargo test -q --test mc_batched
-
-echo "==> mc_batched --smoke (release, 2x floor at K>=8 enforced)"
-cargo run -q --release -p vls-bench --bin mc_batched -- --smoke
-
-# The sparse-solve leg: clippy scoped to the numerics crate (the
-# minimum-degree ordering and sparse LU live there and must stay
-# warning-free on their own), then the release-mode scaling smoke: the
-# default engine (ordered sparse path) against the natural-order
-# reference on chipgen floorplans, DC plus a fixed transient window,
-# agreement and step counts asserted, 1.5x floor at 400 unknowns. The
-# smoke writes its JSON under $TMPDIR; only a full run refreshes
-# BENCH_solve.json. The tests/solve_scale.rs goldens run in the
-# workspace suite above: the solve has no parallelism to vary.
-echo "==> cargo clippy -p vls-num (deny warnings)"
-cargo clippy -p vls-num --all-targets -- -D warnings
-
+# The sparse-solve leg: the release-mode scaling smoke: the default
+# engine (ordered sparse path) against the natural-order reference on
+# chipgen floorplans, DC plus a fixed transient window, agreement and
+# step counts asserted, 1.5x floor at 400 unknowns. The smoke writes
+# its JSON under $TMPDIR; only a full run refreshes BENCH_solve.json.
+# The tests/solve_scale.rs goldens run in the workspace suite above:
+# the solve has no parallelism to vary.
 echo "==> solve_scale --smoke (release, speedup floor enforced)"
 cargo run -q --release -p vls-bench --bin solve_scale -- --smoke
 

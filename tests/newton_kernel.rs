@@ -16,15 +16,17 @@
 //!   test checks bypass-on vs bypass-off transients stay within the
 //!   solver's `reltol`/`lte_tol` band across randomized Monte Carlo
 //!   process perturbations;
-//! * the `SolverStats` counters must be nonzero and plumbed all the
-//!   way into the runner's `RunReport`.
+//! * the `SolverStats` counters must be nonzero, balanced (with bypass
+//!   off, `device_evals == mosfets × newton_iters` on the dense and the
+//!   sparse path) and plumbed all the way into the runner's
+//!   `RunReport`.
 
 use sstvs::cells::primitives::Inverter;
 use sstvs::cells::{Harness, KhanSsvs, PuriSsvs, ShifterKind, VoltagePair};
 use sstvs::engine::{run_transient, KernelMode, SimOptions, TransientResult};
 use sstvs::flows::experiments::tables::{monte_carlo_stats_reported, DEFAULT_MC_SEED};
 use sstvs::flows::CharacterizeOptions;
-use sstvs::netlist::Circuit;
+use sstvs::netlist::{Circuit, Element};
 use sstvs::num::rng::Xoshiro256pp;
 use sstvs::runner::RunnerOptions;
 use sstvs::variation::{sample_perturbation, VariationSpec};
@@ -225,6 +227,31 @@ fn solver_stats_are_nonzero_and_reach_the_run_report() {
     assert!(stats.device_evals > 0 && stats.cap_evals > 0);
     assert_eq!(stats.device_bypasses, 0, "bypass engaged while disabled");
     assert_eq!(stats.cap_bypasses, 0, "cap bypass engaged while disabled");
+
+    // Counter balance: with bypass off, every Newton iteration of the
+    // default kernel evaluates every MOSFET exactly once, on the dense
+    // (threshold 64) and the sparse (threshold 0) linear path alike.
+    for domains in [VoltagePair::low_to_high(), VoltagePair::high_to_low()] {
+        let cell = build(&ShifterKind::sstvs(), domains);
+        let mosfets = cell
+            .circuit
+            .elements()
+            .iter()
+            .filter(|e| matches!(e, Element::Mosfet { .. }))
+            .count() as u64;
+        assert!(mosfets > 0);
+        for threshold in [64, 0] {
+            let stats =
+                run(&cell.circuit, &sim(KernelMode::Symbolic, 0.0, threshold)).solver_stats();
+            assert!(stats.newton_iters > 0);
+            assert_eq!(
+                stats.device_evals,
+                mosfets * stats.newton_iters,
+                "{domains:?}, sparse_threshold {threshold}: device evals out of balance: {}",
+                stats.render()
+            );
+        }
+    }
 
     // The legacy path counts its Newton work too.
     let legacy = run(&h.circuit, &sim(KernelMode::Legacy, 0.0, 64)).solver_stats();
