@@ -424,8 +424,9 @@ impl MosModel {
     /// computed by the same operation sequence as [`Self::ids_canonical`]
     /// so it is bitwise identical; the partials come from the analytic
     /// chain rule instead of central differences — roughly a 3.5× flop
-    /// reduction per Newton stamp (the EKV evaluation dominates the MC
-    /// profile, see BENCH_newton.json).
+    /// reduction per Newton stamp (the EKV evaluation dominates the
+    /// dense-path Newton profile; perfbench's `device.op_ns` and
+    /// `device.op_analytic_ns` time the two derivative paths).
     fn ids_canonical_d(
         &self,
         geom: &MosGeometry,

@@ -1,11 +1,9 @@
-//! The symbolic-reuse Newton kernel.
+//! The Newton kernel: the one implementation of Newton–Raphson that
+//! every DC ladder stage and every transient step runs through.
 //!
-//! The legacy hot path rebuilds its linear system from scratch on every
-//! Newton iteration: a fresh `TripletMatrix` (or zeroed `DenseMatrix`),
-//! a sort-and-dedup compression to CSC, and a full LU factorization
-//! with pivot search. For a fixed circuit all of that structure is
-//! invariant — only the *values* change between iterations. This module
-//! hoists the invariant work to construction time:
+//! For a fixed circuit the structure of the linear system is invariant
+//! between iterations — only the *values* change. The kernel hoists
+//! that invariant work to construction time:
 //!
 //! * **Symbolic phase (once per circuit):** one probe assembly records
 //!   the stamp sequence; [`TripletMatrix::compile_ordered`] turns it
@@ -27,12 +25,14 @@
 //!   but a bypassed evaluation is never allowed to decide convergence:
 //!   the kernel always confirms with one full-evaluation iteration.
 //!
-//! With bypass disabled (the default) the dense path performs
-//! arithmetic identical to the legacy path, so results match to the
-//! last bit; the equivalence suite in `tests/newton_kernel.rs` pins
-//! this. The sparse path eliminates in minimum-degree order where the
-//! legacy path keeps natural order, so there the two agree within
-//! Newton tolerance rather than bitwise (`tests/solve_scale.rs`).
+//! At or below [`SimOptions::sparse_threshold`] the kernel factors
+//! densely in natural order with partial pivoting, re-pivoting every
+//! iteration. That path shares no ordering or pivot reuse with the
+//! sparse one, so `sparse_threshold: usize::MAX` is the reference the
+//! sparse path is checked against (`tests/solve_scale.rs`): within
+//! Newton tolerance with the same accepted steps on a chip floorplan,
+//! bit for bit on a tridiagonal ladder whose minimum-degree order is
+//! the identity.
 
 use vls_device::{MosBias, MosCaps, MosCapsCache, MosGeometry, MosModel, MosStamp, MosStampCache};
 use vls_fault::FaultSession;
@@ -107,7 +107,7 @@ fn factor_sparse(
 }
 
 /// The factorization backend chosen at construction time from
-/// `SimOptions::sparse_threshold` (same rule as the legacy path).
+/// `SimOptions::sparse_threshold`.
 // One instance lives per kernel (per circuit), never in a collection,
 // so the variant size difference costs nothing.
 #[allow(clippy::large_enum_variant)]
@@ -274,9 +274,10 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
         c
     }
 
-    /// One Newton solve from `x0` under `ctx`: damping, convergence and
-    /// failure semantics identical to the legacy `newton_solve`.
-    /// Returns the converged unknown vector and the iterations spent.
+    /// One Newton solve from `x0` under `ctx`: damped updates, the
+    /// weighted convergence test on voltages and branch currents, and
+    /// a typed failure on singularity or iteration exhaustion. Returns
+    /// the converged unknown vector and the iterations spent.
     pub fn solve(
         &mut self,
         x0: &[f64],
@@ -404,7 +405,7 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
             stats.linear_solves += 1;
 
             // Damped update: clamp voltage moves to tame the exponential
-            // device characteristics (identical to the legacy path).
+            // device characteristics.
             let delta = &mut self.delta;
             let x = &mut self.x;
             let x_new = &self.x_new;

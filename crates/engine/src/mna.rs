@@ -116,7 +116,7 @@ impl<'c> Mna<'c> {
         self.n_node_unknowns
     }
 
-    /// The number of circuit elements (the symbolic kernel sizes its
+    /// The number of circuit elements (the Newton kernel sizes its
     /// per-element bypass caches from this).
     pub fn element_count(&self) -> usize {
         self.branch_of.len()
@@ -164,7 +164,7 @@ impl<'c> Mna<'c> {
 
     /// [`Mna::assemble`] with the MOSFET evaluation factored out: `eval`
     /// receives `(element index, model, geometry, bias)` and returns the
-    /// stamp values. This is the hook the symbolic kernel uses for
+    /// stamp values. This is the hook the Newton kernel uses for
     /// SPICE3-style device bypass — the caller decides per device
     /// whether to evaluate the model or replay a cached linearization.
     /// The stamp *positions* are independent of `eval`.
@@ -335,7 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_names_and_boundary_cover_nodes_and_branches() {
+    fn unknown_names_cover_nodes_and_branches() {
         let mut c = Circuit::new();
         let vdd = c.node("vdd");
         let mid = c.node("mid");

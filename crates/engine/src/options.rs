@@ -4,28 +4,6 @@ use vls_check::CheckLevel;
 use vls_fault::FaultPlan;
 use vls_units::Temperature;
 
-/// Which Newton/transient hot-path implementation to run.
-///
-/// `Legacy` and `Symbolic` produce the same solutions: bit for bit on
-/// the dense path (`tests/newton_kernel.rs`), within Newton tolerance
-/// on the sparse path, where `Symbolic` eliminates in minimum-degree
-/// order and `Legacy` in natural order (`tests/solve_scale.rs`).
-/// `Legacy` is retry rung 2 and the natural-order reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// Per-iteration matrix rebuild: fresh `TripletMatrix`/`DenseMatrix`
-    /// assembly and a full re-pivoting factorization in natural MNA
-    /// order every Newton iteration.
-    Legacy,
-    /// Symbolic-reuse kernel: one-time sparsity analysis under a
-    /// minimum-degree fill-reducing order with stamp-pointer scatter
-    /// assembly, numeric-only refactorization with frozen pivots,
-    /// reusable workspaces, and (when [`SimOptions::bypass_vtol`] is
-    /// positive) device-eval bypass.
-    #[default]
-    Symbolic,
-}
-
 /// Tolerances and controls shared by all analyses. The defaults follow
 /// SPICE conventions and are what every experiment in this workspace
 /// runs with unless stated otherwise in EXPERIMENTS.md.
@@ -57,24 +35,22 @@ pub struct SimOptions {
     /// adapted to hold the predictor–corrector disagreement below this.
     pub lte_tol: f64,
     /// Unknown count above which the sparse solver is used. At or below
-    /// it every kernel solves with dense LU; above it the symbolic
-    /// kernel factors the minimum-degree-ordered sparse system and
-    /// [`KernelMode::Legacy`] the natural-order one.
+    /// it the Newton kernel solves with dense LU (natural order, partial
+    /// pivoting); above it the kernel factors the minimum-degree-ordered
+    /// sparse system. `usize::MAX` forces the dense path at any size,
+    /// which makes it the reference the sparse path is checked against.
     pub sparse_threshold: usize,
     /// Diagonal-preference pivot tolerance for the sparse LU: the
     /// diagonal is kept as pivot while its magnitude is at least this
     /// fraction of the column maximum. Also the pivot-health threshold
     /// guarding numeric-only refactorization. SPICE's classic value.
     pub sparse_pivot_tol: f64,
-    /// Newton hot-path implementation selector.
-    pub kernel: KernelMode,
     /// Device-bypass voltage tolerance, V: a MOSFET (or its Meyer
     /// capacitances) is not re-evaluated while every terminal voltage
     /// stays within this of the cached evaluation. `0.0` (the default)
-    /// disables bypassing, which keeps results bit-identical to the
-    /// legacy path; small positive values (≈1e-6) trade exactness
-    /// within `reltol` for large speedups on waveform plateaus. Only
-    /// honored by [`KernelMode::Symbolic`].
+    /// disables bypassing, so every Newton iteration evaluates every
+    /// device exactly; small positive values (≈1e-6) trade exactness
+    /// within `reltol` for large speedups on waveform plateaus.
     pub bypass_vtol: f64,
     /// Static electrical-rule checking to run before any analysis.
     /// `Off` (the default) keeps only the structural `validate()`
@@ -115,7 +91,6 @@ impl Default for SimOptions {
             lte_tol: 1e-3,
             sparse_threshold: 64,
             sparse_pivot_tol: 1e-3,
-            kernel: KernelMode::Symbolic,
             bypass_vtol: 0.0,
             check: CheckLevel::Off,
             fault: FaultPlan::none(),
@@ -142,11 +117,9 @@ impl SimOptions {
     ///
     /// * rung 0 — these options unchanged (the base attempt);
     /// * rung 1 — gmin floor raised 100× (stiffer regularization pulls
-    ///   floating/bistable nodes toward convergence);
-    /// * rung 2 — additionally forces [`KernelMode::Legacy`] with
-    ///   bypassing off (full re-pivoting in natural order every
-    ///   iteration, no frozen structure, no cached linearizations);
-    /// * rung 3+ — additionally quarters the maximum and initial
+    ///   floating/bistable nodes toward convergence) and device bypass
+    ///   off (no cached linearizations);
+    /// * rung 2+ — additionally quarters the maximum and initial
     ///   transient steps (brute-force LTE headroom).
     ///
     /// Injected faults model a transient upset of the base attempt, so
@@ -160,11 +133,8 @@ impl SimOptions {
         }
         o.fault = FaultPlan::none();
         o.gmin = self.gmin * 100.0;
+        o.bypass_vtol = 0.0;
         if rung >= 2 {
-            o.kernel = KernelMode::Legacy;
-            o.bypass_vtol = 0.0;
-        }
-        if rung >= 3 {
             o.max_step = self.max_step.map(|s| s / 4.0);
             o.initial_step = self.initial_step / 4.0;
         }
@@ -183,7 +153,6 @@ mod tests {
         assert_eq!(o.gmin, 1e-12);
         assert_eq!(o.temperature, Temperature::ROOM);
         assert_eq!(o.sparse_pivot_tol, 1e-3);
-        assert_eq!(o.kernel, KernelMode::Symbolic);
         // Bypass must default OFF so the kernel is exact by default.
         assert_eq!(o.bypass_vtol, 0.0);
         // Fault injection and budgets must default inert/unlimited.
@@ -207,21 +176,18 @@ mod tests {
         let r1 = base.escalated(1);
         assert!(r1.fault.is_empty(), "retries run clean");
         assert_eq!(r1.gmin, base.gmin * 100.0);
-        assert_eq!(r1.kernel, KernelMode::Symbolic);
-        assert_eq!(r1.bypass_vtol, base.bypass_vtol, "rung 1 keeps bypass");
+        assert_eq!(r1.bypass_vtol, 0.0, "rung 1 disables bypass");
+        assert_eq!(r1.max_step, base.max_step);
+        assert_eq!(r1.initial_step, base.initial_step);
         let r2 = base.escalated(2);
+        assert!(r2.fault.is_empty());
         assert_eq!(r2.gmin, base.gmin * 100.0);
-        assert_eq!(
-            r2.kernel,
-            KernelMode::Legacy,
-            "rung 2 solves in natural order"
-        );
-        assert_eq!(r2.bypass_vtol, 0.0, "rung 2 disables bypass");
-        assert_eq!(r2.max_step, base.max_step);
-        let r3 = base.escalated(3);
-        assert_eq!(r3.kernel, KernelMode::Legacy);
-        assert_eq!(r3.max_step, Some(1e-11 / 4.0));
-        assert_eq!(r3.initial_step, base.initial_step / 4.0);
+        assert_eq!(r2.bypass_vtol, 0.0);
+        assert_eq!(r2.max_step, Some(1e-11 / 4.0));
+        assert_eq!(r2.initial_step, base.initial_step / 4.0);
+        // The ladder has two rungs: every rung past the last repeats it.
+        assert_eq!(base.escalated(3), r2);
+        assert_eq!(base.escalated(7), r2);
     }
 
     #[test]

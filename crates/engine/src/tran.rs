@@ -24,10 +24,9 @@ use vls_fault::FaultSession;
 use vls_netlist::{Circuit, Element, NodeId};
 use vls_num::SolverStats;
 
-use crate::dc::{newton_solve, solve_dc_at, DcSolution};
+use crate::dc::{solve_dc_at, DcSolution};
 use crate::kernel::NewtonKernel;
 use crate::mna::{CompanionCap, Mna, StampCtx};
-use crate::options::KernelMode;
 use crate::{EngineError, SimOptions};
 
 /// The sampled result of a transient run.
@@ -254,27 +253,21 @@ fn transient_from_state(
         cap.v_prev = volt_of(&x, cap.a) - volt_of(&x, cap.b);
     }
 
-    // One symbolic kernel for the whole run: the transient stamp
+    // One Newton kernel for the whole run: the transient stamp
     // pattern (including every companion branch — zero-cap slots are
     // stamped as placeholders, so the pattern never changes between
     // steps) is analyzed once, and the LU storage, workspaces and
     // bypass caches persist across all time steps.
-    let mut legacy_stats = SolverStats::default();
-    let mut kernel = match options.kernel {
-        KernelMode::Symbolic => {
-            let probe: Vec<CompanionCap> = caps
-                .iter()
-                .map(|cap| CompanionCap {
-                    a: cap.a,
-                    b: cap.b,
-                    geq: 0.0,
-                    ieq: 0.0,
-                })
-                .collect();
-            Some(NewtonKernel::new(&mna, options, Some(&probe)))
-        }
-        KernelMode::Legacy => None,
-    };
+    let probe: Vec<CompanionCap> = caps
+        .iter()
+        .map(|cap| CompanionCap {
+            a: cap.a,
+            b: cap.b,
+            geq: 0.0,
+            ieq: 0.0,
+        })
+        .collect();
+    let mut kernel = NewtonKernel::new(&mna, options, Some(&probe));
 
     // --- breakpoints -------------------------------------------------
     let mut breakpoints: Vec<f64> = Vec::new();
@@ -324,17 +317,14 @@ fn transient_from_state(
                 let vd = mna.voltage(&x, *drain);
                 let vs = mna.voltage(&x, *source);
                 let vb = mna.voltage(&x, *bulk);
-                let mc = match kernel.as_mut() {
-                    Some(k) => k.eval_caps(
-                        m.elem_idx,
-                        model,
-                        geom,
-                        MosBias::new(vg, vd, vs, vb),
-                        temp_k,
-                        options.bypass_vtol,
-                    ),
-                    None => model.caps(geom, vg, vd, vs, vb, temp_k),
-                };
+                let mc = kernel.eval_caps(
+                    m.elem_idx,
+                    model,
+                    geom,
+                    MosBias::new(vg, vd, vs, vb),
+                    temp_k,
+                    options.bypass_vtol,
+                );
                 let values = [mc.cgs, mc.cgd, mc.cgb, mc.cdb, mc.csb];
                 for (slot, val) in m.slots.iter().zip(values) {
                     caps[*slot].c = val;
@@ -414,11 +404,7 @@ fn transient_from_state(
                 temp_k,
                 reactive: Some(&companions),
             };
-            let solved = match kernel.as_mut() {
-                Some(k) => k.solve(&x, &ctx, options, &mut faults),
-                None => newton_solve(&mna, &x, &ctx, options, &mut legacy_stats),
-            };
-            match solved {
+            match kernel.solve(&x, &ctx, options, &mut faults) {
                 Ok((x_new, _iters)) => {
                     if faults.fire_lte() {
                         // Injected LTE rejection: discard the converged
@@ -494,10 +480,7 @@ fn transient_from_state(
         .map(|e| e.name().to_string())
         .collect();
     let mut stats = initial_stats;
-    match &kernel {
-        Some(k) => stats.merge(&k.stats()),
-        None => stats.merge(&legacy_stats),
-    }
+    stats.merge(&kernel.stats());
     stats.injected_faults += faults.fired();
     Ok(TransientResult {
         times,
@@ -703,33 +686,23 @@ mod tests {
         );
         c.add_capacitor("cl", out, Circuit::GROUND, 1e-15);
 
-        // Every (kernel × linear path) combination must produce the
-        // same accepted-step trajectory (identical Newton behaviour)
-        // and matching voltages throughout.
+        // Both linear paths must produce the same accepted-step
+        // trajectory (identical Newton behaviour) and matching voltages
+        // throughout.
         let dense = run_transient(&c, 4e-9, &opts()).unwrap();
-        let variants = [
-            SimOptions {
+        let sparse = run_transient(
+            &c,
+            4e-9,
+            &SimOptions {
                 sparse_threshold: 0,
                 ..opts()
             },
-            SimOptions {
-                kernel: KernelMode::Legacy,
-                ..opts()
-            },
-            SimOptions {
-                kernel: KernelMode::Legacy,
-                sparse_threshold: 0,
-                ..opts()
-            },
-        ];
-        let vd = dense.node_series(out);
-        for (v, o) in variants.iter().enumerate() {
-            let other = run_transient(&c, 4e-9, o).unwrap();
-            assert_eq!(dense.len(), other.len(), "variant {v}: steps diverged");
-            let vs = other.node_series(out);
-            for (k, (a, b)) in vd.iter().zip(&vs).enumerate() {
-                assert!((a - b).abs() < 1e-9, "variant {v}, sample {k}: {a} vs {b}");
-            }
+        )
+        .unwrap();
+        assert_eq!(dense.len(), sparse.len(), "steps diverged");
+        let (vd, vs) = (dense.node_series(out), sparse.node_series(out));
+        for (k, (a, b)) in vd.iter().zip(&vs).enumerate() {
+            assert!((a - b).abs() < 1e-9, "sample {k}: {a} vs {b}");
         }
     }
 

@@ -61,15 +61,6 @@ impl TripletMatrix {
 
     /// Compresses into CSC form, summing duplicate coordinates.
     pub fn to_csc(&self) -> CscMatrix {
-        let mut scratch = Vec::new();
-        self.to_csc_with(&mut scratch)
-    }
-
-    /// [`TripletMatrix::to_csc`] with a caller-owned scratch buffer, so
-    /// repeated compressions (AC analysis, ERC preflight, the legacy
-    /// Newton path) reuse one allocation instead of growing a fresh
-    /// per-column `Vec` on every call.
-    pub fn to_csc_with(&self, scratch: &mut Vec<(usize, f64)>) -> CscMatrix {
         let n = self.n;
         // Count entries per column (duplicates included for now).
         let mut count = vec![0usize; n];
@@ -97,7 +88,7 @@ impl TripletMatrix {
             row_idx,
             values,
         };
-        csc.sort_and_sum_duplicates(scratch);
+        csc.sort_and_sum_duplicates();
         csc
     }
 
@@ -301,10 +292,10 @@ impl CscMatrix {
     }
 
     /// In-column sort and duplicate merge; used once after assembly.
-    /// The per-column working set lives in the caller-provided scratch
-    /// buffer so repeated compressions do not reallocate it.
-    fn sort_and_sum_duplicates(&mut self, scratch: &mut Vec<(usize, f64)>) {
+    /// One per-column working buffer is reused across all columns.
+    fn sort_and_sum_duplicates(&mut self) {
         let n = self.n;
+        let mut scratch: Vec<(usize, f64)> = Vec::new();
         let mut new_col_ptr = vec![0usize; n + 1];
         let mut new_rows: Vec<usize> = Vec::with_capacity(self.row_idx.len());
         let mut new_vals: Vec<f64> = Vec::with_capacity(self.values.len());
@@ -468,19 +459,6 @@ mod tests {
     fn out_of_bounds_add_panics() {
         let mut t = TripletMatrix::new(2);
         t.add(2, 0, 1.0);
-    }
-
-    #[test]
-    fn to_csc_with_reuses_scratch_and_matches_to_csc() {
-        let t = sample();
-        let mut scratch = Vec::new();
-        let a = t.to_csc_with(&mut scratch);
-        let b = t.to_csc();
-        assert_eq!(a, b);
-        // A second compression through the same scratch is unaffected
-        // by the leftovers of the first.
-        let c = t.to_csc_with(&mut scratch);
-        assert_eq!(c, b);
     }
 
     #[test]

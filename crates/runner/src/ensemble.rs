@@ -95,10 +95,10 @@ pub struct RetryPolicy {
 }
 
 impl Default for RetryPolicy {
-    /// Three escalated retries — enough to walk the full standard
-    /// ladder (tighter gmin → legacy kernel → smaller steps).
+    /// Two escalated retries — enough to walk the full standard
+    /// ladder (tighter gmin with bypass off → smaller steps).
     fn default() -> Self {
-        Self { max_retries: 3 }
+        Self { max_retries: 2 }
     }
 }
 

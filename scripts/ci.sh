@@ -44,18 +44,6 @@ cargo run -q --release -p vls-cli --bin vls-spice -- \
 echo "==> cargo test (charlib suites, VLS_JOBS=1)"
 VLS_JOBS=1 cargo test -q --test charlib_surrogate --test charlib_golden --test charlib_artifact
 
-# The Newton-kernel leg: the symbolic/legacy equivalence suite must
-# hold on one worker as it did at default parallelism in the workspace
-# suite (the kernel is pure per-circuit state, so sharding must not
-# change a single bit), then the release-mode speedup bench enforces
-# its ≥2x floor on the SoC mesh with smoke-sized workloads (JSON under
-# $TMPDIR; only a full run refreshes BENCH_newton.json).
-echo "==> cargo test (newton kernel equivalence, VLS_JOBS=1)"
-VLS_JOBS=1 cargo test -q --test newton_kernel
-
-echo "==> newton_speedup --smoke (release, 2x floor enforced)"
-cargo run -q --release -p vls-bench --bin newton_speedup -- --smoke
-
 # The fault leg: the soak suite (256-trial injected-fault ensemble,
 # taxonomy/replay determinism, counter invariants, fuzzed
 # perturbations) must hold serially as it did at default parallelism
@@ -168,13 +156,15 @@ echo "==> opt_convergence --smoke (release, budget + gap + 50x floors enforced)"
 cargo run -q --release -p vls-bench --bin opt_convergence -- --smoke
 
 # The sparse-solve leg: the release-mode scaling smoke: the default
-# engine (ordered sparse path) against the natural-order reference on
-# chipgen floorplans, DC plus a fixed transient window, agreement and
-# step counts asserted, 1.5x floor at 400 unknowns. The smoke writes
-# its JSON under $TMPDIR; only a full run refreshes BENCH_solve.json.
-# The tests/solve_scale.rs goldens run in the workspace suite above:
-# the solve has no parallelism to vary.
-echo "==> solve_scale --smoke (release, speedup floor enforced)"
+# engine (ordered sparse path) against the dense reference
+# (sparse_threshold = usize::MAX) on chipgen floorplans, DC plus a
+# fixed transient window, 1.5x floor at 400 unknowns; plus the Figure 3
+# SoC mesh row over a 2 ns window with its 1.2x floor. Agreement and
+# step counts are asserted on every row. The smoke writes its JSON
+# under $TMPDIR; only a full run refreshes BENCH_solve.json. The
+# tests/solve_scale.rs and tests/newton_kernel.rs goldens run in the
+# workspace suite above: the solve has no parallelism to vary.
+echo "==> solve_scale --smoke (release, chip + mesh speedup floors enforced)"
 cargo run -q --release -p vls-bench --bin solve_scale -- --smoke
 
 echo "==> cargo test --release"

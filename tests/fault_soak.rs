@@ -17,7 +17,7 @@
 
 use sstvs::cells::primitives::Inverter;
 use sstvs::cells::{Harness, ShifterKind, VoltagePair};
-use sstvs::engine::{run_transient, solve_dc, EngineError, FaultPlan, KernelMode, SimOptions};
+use sstvs::engine::{run_transient, solve_dc, EngineError, FaultPlan, SimOptions};
 use sstvs::netlist::chipgen::{generate_chip, ChipSpec};
 use sstvs::netlist::Circuit;
 use sstvs::num::rng::Xoshiro256pp;
@@ -58,12 +58,11 @@ fn victim() -> Harness {
     )
 }
 
-/// Base options for faulted runs: symbolic kernel on the sparse path
-/// (so the pivot hook is live) with bypassing on (so the poison hook
+/// Base options for faulted runs: the sparse path (so the pivot hook
+/// is live) with bypassing on (so the poison hook
 /// is live), plan armed per trial seed.
 fn faulted_sim(plan: &FaultPlan, seed: u64) -> SimOptions {
     SimOptions {
-        kernel: KernelMode::Symbolic,
         sparse_threshold: 0,
         bypass_vtol: 1e-6,
         fault: plan.arm(seed),
@@ -298,13 +297,14 @@ fn solver_stats_counters_stay_consistent_under_injection() {
 }
 
 /// Satellite 1 (escalation leg) — the invariants hold on every rung of
-/// the retry ladder, including the legacy-kernel rungs.
+/// the retry ladder: the armed base attempt, the clean gmin-raised
+/// rung with bypass off, and the quartered-step rung.
 #[test]
 fn solver_stats_counters_stay_consistent_across_escalation() {
     let h = victim();
     let plan = FaultPlan::parse("pivot,lte").unwrap();
     let base = faulted_sim(&plan, 0);
-    for rung in 0..4 {
+    for rung in 0..=RetryPolicy::default().max_retries {
         let sim = base.escalated(rung);
         let s = run_transient(&h.circuit, TSTOP, &sim)
             .expect("escalated runs converge")
@@ -366,9 +366,8 @@ fn fuzzed_perturbations_never_panic_and_fail_typed() {
             let map = sample_perturbation(&h.circuit, &spec, &mut rng, |_| true);
             let mut circuit = h.circuit.clone();
             map.apply(&mut circuit);
-            // Exercise both analysis kinds under the symbolic kernel.
+            // Exercise both analysis kinds on the sparse path.
             let sim = SimOptions {
-                kernel: KernelMode::Symbolic,
                 sparse_threshold: 0,
                 bypass_vtol: 1e-6,
                 ..SimOptions::default()
@@ -468,7 +467,6 @@ fn pivot_fault_fires_the_degrade_hook_on_structured_paths() {
     let probe = flat.find_node("u0_y").expect("unit sink net");
     let plan = FaultPlan::parse("pivot").unwrap();
     let clean_sim = SimOptions {
-        kernel: KernelMode::Symbolic,
         sparse_threshold: 0,
         ..SimOptions::default()
     };

@@ -1,17 +1,18 @@
-//! Golden equivalence suite for the symbolic-reuse Newton kernel.
+//! Golden suite for the Newton kernel.
 //!
-//! The symbolic kernel (pattern-scatter assembly, numeric-only
-//! refactorization, reusable workspaces, device/cap bypass) is the
-//! default hot path; this file pins it to the legacy
-//! rebuild-everything path:
+//! The kernel (pattern-scatter assembly, numeric-only refactorization,
+//! reusable workspaces, device/cap bypass) is the engine's one Newton
+//! path; this file pins it:
 //!
-//! * on the dense linear path both kernels perform identical
-//!   arithmetic, so all six cells must match **bit for bit** (far
-//!   inside the 1e-12 budget);
+//! * on the dense linear path every one of the six cells reproduces a
+//!   golden transient: the accepted-step count plus a 64-bit FNV-1a
+//!   fingerprint of the input and output series bits, recorded when
+//!   the kernel still matched the rebuild-everything Newton loop it
+//!   replaced bit for bit;
 //! * on the sparse path the kernel reuses the pivot order of its
 //!   first factorization instead of re-pivoting every iteration, so
-//!   the trajectories are equivalent within Newton's own tolerances
-//!   rather than bitwise — pinned here to 1e-8 V;
+//!   it matches the dense path within Newton's own tolerances rather
+//!   than bitwise — pinned here to 1e-8 V;
 //! * bypass is an approximation bounded by `bypass_vtol`; a property
 //!   test checks bypass-on vs bypass-off transients stay within the
 //!   solver's `reltol`/`lte_tol` band across randomized Monte Carlo
@@ -23,7 +24,7 @@
 
 use sstvs::cells::primitives::Inverter;
 use sstvs::cells::{Harness, KhanSsvs, PuriSsvs, ShifterKind, VoltagePair};
-use sstvs::engine::{run_transient, KernelMode, SimOptions, TransientResult};
+use sstvs::engine::{run_transient, SimOptions, TransientResult};
 use sstvs::flows::experiments::tables::{monte_carlo_stats_reported, DEFAULT_MC_SEED};
 use sstvs::flows::CharacterizeOptions;
 use sstvs::netlist::{Circuit, Element};
@@ -35,35 +36,48 @@ use sstvs::variation::{sample_perturbation, VariationSpec};
 /// plenty of Newton work without the full two-cycle runtime.
 const TSTOP: f64 = 4e-9;
 
-fn sim(kernel: KernelMode, bypass_vtol: f64, sparse_threshold: usize) -> SimOptions {
+fn sim(bypass_vtol: f64, sparse_threshold: usize) -> SimOptions {
     SimOptions {
-        kernel,
         bypass_vtol,
         sparse_threshold,
         ..SimOptions::default()
     }
 }
 
-/// All six cells with a domain pair each can legally shift.
-fn six_cells() -> Vec<(ShifterKind, VoltagePair)> {
+/// All six cells with a domain pair each can legally shift, each with
+/// its golden `(accepted steps, fingerprint)` over [`TSTOP`] at default
+/// options.
+fn six_cells() -> Vec<(ShifterKind, VoltagePair, (usize, u64))> {
     vec![
-        (ShifterKind::sstvs(), VoltagePair::low_to_high()),
-        (ShifterKind::combined(), VoltagePair::low_to_high()),
+        (
+            ShifterKind::sstvs(),
+            VoltagePair::low_to_high(),
+            (254, 0xc4fb_5311_16dc_c100),
+        ),
+        (
+            ShifterKind::combined(),
+            VoltagePair::low_to_high(),
+            (239, 0x0899_85d2_2113_a15e),
+        ),
         (
             ShifterKind::Conventional(Default::default()),
             VoltagePair::low_to_high(),
+            (214, 0xba35_4dfe_fbab_2ad4),
         ),
         (
             ShifterKind::Khan(KhanSsvs::new()),
             VoltagePair::low_to_high(),
+            (219, 0x71d6_31ba_aa76_6060),
         ),
         (
             ShifterKind::Puri(PuriSsvs::new()),
             VoltagePair::low_to_high(),
+            (236, 0x20e8_0e96_7dbd_240a),
         ),
         (
             ShifterKind::Inverter(Inverter::minimum()),
             VoltagePair::high_to_low(),
+            (194, 0x4197_d4a1_782b_fb22),
         ),
     ]
 }
@@ -80,11 +94,7 @@ fn run(circuit: &Circuit, options: &SimOptions) -> TransientResult {
 /// Worst absolute deviation between two same-length transients on a
 /// probe node; panics if the accepted-step sequences differ.
 fn worst_deviation(a: &TransientResult, b: &TransientResult, probe: sstvs::netlist::NodeId) -> f64 {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "kernels accepted different step sequences"
-    );
+    assert_eq!(a.len(), b.len(), "paths accepted different step sequences");
     a.node_series(probe)
         .iter()
         .zip(&b.node_series(probe))
@@ -92,55 +102,50 @@ fn worst_deviation(a: &TransientResult, b: &TransientResult, probe: sstvs::netli
         .fold(0.0, f64::max)
 }
 
+/// 64-bit FNV-1a over the IEEE-754 bit patterns of `samples`, in
+/// order, little-endian: any change to any bit of any sample moves it.
+fn fingerprint<'a>(samples: impl IntoIterator<Item = &'a f64>) -> u64 {
+    samples
+        .into_iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
 #[test]
-fn symbolic_kernel_is_bit_identical_to_legacy_on_all_six_cells() {
-    for (kind, domains) in six_cells() {
+fn six_cells_reproduce_their_golden_transients() {
+    for (kind, domains, golden) in six_cells() {
         let h = build(&kind, domains);
-        let legacy = run(&h.circuit, &sim(KernelMode::Legacy, 0.0, 64));
-        let symbolic = run(&h.circuit, &sim(KernelMode::Symbolic, 0.0, 64));
+        let res = run(&h.circuit, &sim(0.0, 64));
+        let input = res.node_series(h.input);
+        let output = res.node_series(h.output);
+        let got = (res.len(), fingerprint(input.iter().chain(&output)));
         assert_eq!(
-            legacy.len(),
-            symbolic.len(),
-            "{}: kernels accepted different step sequences",
+            got,
+            golden,
+            "{}: (accepted steps, fingerprint) moved from the golden",
             kind.label()
         );
-        for probe in [h.input, h.output] {
-            let a = legacy.node_series(probe);
-            let b = symbolic.node_series(probe);
-            for (k, (x, y)) in a.iter().zip(&b).enumerate() {
-                // Bitwise equality implies the 1e-12 budget with room
-                // to spare.
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{}: kernels diverged at sample {k}: {x} vs {y}",
-                    kind.label()
-                );
-            }
-        }
     }
 }
 
 #[test]
-fn sparse_kernel_agrees_with_legacy_and_dense_paths() {
-    // Extends `sparse_and_dense_paths_agree` (engine unit suite) to
-    // the kernel matrix: force the sparse solver on the SS-TVS cell
-    // and pin all four (kernel × linear path) combinations together.
+fn sparse_kernel_agrees_with_the_dense_path() {
+    // Extends `sparse_and_dense_paths_agree` (engine unit suite) to a
+    // paper cell: force the sparse solver on the SS-TVS cell and pin
+    // it to the dense path.
     let h = build(&ShifterKind::sstvs(), VoltagePair::low_to_high());
-    let legacy_dense = run(&h.circuit, &sim(KernelMode::Legacy, 0.0, 64));
-    let legacy_sparse = run(&h.circuit, &sim(KernelMode::Legacy, 0.0, 0));
-    let symbolic_sparse = run(&h.circuit, &sim(KernelMode::Symbolic, 0.0, 0));
+    let dense = run(&h.circuit, &sim(0.0, 64));
+    let sparse = run(&h.circuit, &sim(0.0, 0));
 
     // Frozen-pivot refactorization vs per-iteration re-pivoting: the
     // trajectories agree far inside Newton's vabstol (1e-6 V) but not
-    // bitwise; 1e-8 V pins the observed ~2.6e-9 V with margin.
-    let d = worst_deviation(&legacy_sparse, &symbolic_sparse, h.output);
-    assert!(d <= 1e-8, "sparse kernels strayed {d:.3e} V apart");
-    // Sparse vs dense linear algebra under the symbolic kernel.
-    let d = worst_deviation(&legacy_dense, &symbolic_sparse, h.output);
+    // bitwise.
+    let d = worst_deviation(&dense, &sparse, h.output);
     assert!(d <= 1e-8, "sparse vs dense strayed {d:.3e} V apart");
 
-    let stats = symbolic_sparse.solver_stats();
+    let stats = sparse.solver_stats();
     assert!(
         stats.refactorizations > 0,
         "sparse kernel never refactorized: {}",
@@ -176,8 +181,8 @@ fn bypass_stays_within_solver_tolerances_across_mc_perturbations() {
     let domains = VoltagePair::low_to_high();
     let reference = build(&ShifterKind::sstvs(), domains);
     let spec = VariationSpec::paper();
-    let exact_sim = sim(KernelMode::Symbolic, 0.0, 64);
-    let bypass_sim = sim(KernelMode::Symbolic, 1e-4, 64);
+    let exact_sim = sim(0.0, 64);
+    let bypass_sim = sim(1e-4, 64);
     // Bypass perturbs the Newton trajectory, which shifts edge timing
     // within reltol; on a 50 ps edge that timing shift converts to a
     // few millivolts of pointwise deviation.
@@ -220,8 +225,8 @@ fn bypass_stays_within_solver_tolerances_across_mc_perturbations() {
 fn solver_stats_are_nonzero_and_reach_the_run_report() {
     let h = build(&ShifterKind::sstvs(), VoltagePair::low_to_high());
 
-    // Exact symbolic run: every hot-path counter but the bypass ones.
-    let stats = run(&h.circuit, &sim(KernelMode::Symbolic, 0.0, 64)).solver_stats();
+    // Exact run: every hot-path counter but the bypass ones.
+    let stats = run(&h.circuit, &sim(0.0, 64)).solver_stats();
     assert!(stats.newton_iters > 0 && stats.linear_solves > 0);
     assert!(stats.full_factorizations > 0);
     assert!(stats.device_evals > 0 && stats.cap_evals > 0);
@@ -241,8 +246,7 @@ fn solver_stats_are_nonzero_and_reach_the_run_report() {
             .count() as u64;
         assert!(mosfets > 0);
         for threshold in [64, 0] {
-            let stats =
-                run(&cell.circuit, &sim(KernelMode::Symbolic, 0.0, threshold)).solver_stats();
+            let stats = run(&cell.circuit, &sim(0.0, threshold)).solver_stats();
             assert!(stats.newton_iters > 0);
             assert_eq!(
                 stats.device_evals,
@@ -252,10 +256,6 @@ fn solver_stats_are_nonzero_and_reach_the_run_report() {
             );
         }
     }
-
-    // The legacy path counts its Newton work too.
-    let legacy = run(&h.circuit, &sim(KernelMode::Legacy, 0.0, 64)).solver_stats();
-    assert!(legacy.newton_iters > 0 && legacy.full_factorizations > 0);
 
     // End-to-end plumbing: characterization trials fold their counters
     // through `characterize_with_stats` into the runner's RunReport.

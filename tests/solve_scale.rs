@@ -9,16 +9,17 @@
 //!   against unit vectors reproduces the identity to 1e-10, i.e.
 //!   P·A·Pᵀ = L·U reconstructs A) and never fills in more than the
 //!   natural order;
-//! * **natural-order agreement** — default options on a generated
-//!   100-instance floorplan match the natural-order reference
-//!   (`KernelMode::Legacy`, full re-pivot every iteration) to 1e-9 V
-//!   for DC and for a transient, with identical step sequences;
+//! * **dense-reference agreement** — default options on a generated
+//!   100-instance floorplan match the dense reference
+//!   (`sparse_threshold: usize::MAX`: natural-order dense LU with
+//!   partial pivoting, re-pivoted every iteration) to 1e-9 V for DC and
+//!   for a transient, with identical step sequences;
 //! * **identity ordering** — a circuit whose minimum-degree permutation
 //!   is the identity takes the natural compile and solves bit for bit
-//!   like the natural-order reference.
+//!   like the dense reference.
 
 use sstvs::device::{MosGeometry, MosModel, SourceWaveform};
-use sstvs::engine::{run_transient, solve_dc, KernelMode, SimOptions};
+use sstvs::engine::{run_transient, solve_dc, SimOptions};
 use sstvs::netlist::chipgen::{generate_chip, ChipSpec};
 use sstvs::netlist::Circuit;
 use sstvs::num::rng::{Rng, Xoshiro256pp};
@@ -123,7 +124,7 @@ fn ordered_factorization_reconstructs_and_reduces_fill_over_a_seed_sweep() {
     }
 }
 
-/// Transient window of the natural-order comparison: the opening of
+/// Transient window of the dense-reference comparison: the opening of
 /// the 50 ps stimulus edge.
 const TSTOP: f64 = 2e-12;
 
@@ -138,12 +139,13 @@ fn chip_100() -> Circuit {
     .flatten()
 }
 
-/// The natural-order reference: the legacy kernel rebuilds and fully
-/// re-pivots the natural-order sparse system every Newton iteration.
-fn natural_order() -> SimOptions {
+/// The dense reference: at any size the kernel factors the
+/// natural-order system with dense partial-pivoting LU, re-pivoted
+/// every Newton iteration — no ordering, no frozen pivots, no sparse
+/// code at all.
+fn dense_reference() -> SimOptions {
     SimOptions {
-        kernel: KernelMode::Legacy,
-        sparse_threshold: 0,
+        sparse_threshold: usize::MAX,
         ..SimOptions::default()
     }
 }
@@ -166,33 +168,36 @@ fn structured_solves_match_the_flat_natural_solve() {
     );
 
     let ordered = solve_dc(&flat, &default).expect("default DC");
-    let natural = solve_dc(&flat, &natural_order()).expect("natural-order DC");
-    let worst = worst_gap(ordered.unknowns(), natural.unknowns());
-    assert!(worst <= 1e-9, "DC strayed {worst:.3e} from natural order");
+    let dense = solve_dc(&flat, &dense_reference()).expect("dense DC");
+    let worst = worst_gap(ordered.unknowns(), dense.unknowns());
+    assert!(
+        worst <= 1e-9,
+        "DC strayed {worst:.3e} from the dense reference"
+    );
 
     // The window is capped at one step's worth of `max_step` (instead
-    // of the default tstop / 50) so the natural-order reference stays
+    // of the default tstop / 50) so the dense reference stays
     // affordable; both legs share every other option.
     let window = |o: SimOptions| SimOptions {
         max_step: Some(TSTOP),
         ..o
     };
     let ordered = run_transient(&flat, TSTOP, &window(default)).expect("default transient");
-    let natural = run_transient(&flat, TSTOP, &window(natural_order())).expect("natural transient");
+    let dense = run_transient(&flat, TSTOP, &window(dense_reference())).expect("dense transient");
     // Same accepted steps; the step sizes derive from the solutions, so
     // they agree to rounding, not bitwise.
-    assert_eq!(ordered.len(), natural.len(), "step sequences differ");
-    for (k, (a, b)) in ordered.times().iter().zip(natural.times()).enumerate() {
+    assert_eq!(ordered.len(), dense.len(), "step sequences differ");
+    for (k, (a, b)) in ordered.times().iter().zip(dense.times()).enumerate() {
         assert!(
             (a - b).abs() <= 1e-9 * b.abs(),
             "step {k} at {a:e} vs {b:e} s"
         );
     }
     for id in flat.node_ids().skip(1) {
-        let worst = worst_gap(&ordered.node_series(id), &natural.node_series(id));
+        let worst = worst_gap(&ordered.node_series(id), &dense.node_series(id));
         assert!(
             worst <= 1e-9,
-            "transient node {} strayed {worst:.3e} from natural order",
+            "transient node {} strayed {worst:.3e} from the dense reference",
             flat.node_name(id)
         );
     }
@@ -260,27 +265,24 @@ fn identity_ordering_solves_bit_for_bit_like_the_natural_compile() {
     assert_eq!(ordered_map, natural_map);
 
     // End to end: default options (sparse, above the threshold) and the
-    // natural-order reference agree bit for bit.
+    // dense reference agree bit for bit: on this tridiagonal pattern
+    // both LUs keep the diagonal pivots and eliminate one sub-diagonal
+    // entry per column in natural order, the same arithmetic.
     let c = ladder(rungs);
     assert!(c.node_count() - 1 > SimOptions::default().sparse_threshold);
     let ordered = solve_dc(&c, &SimOptions::default()).expect("default DC");
-    let natural = solve_dc(&c, &natural_order()).expect("natural-order DC");
-    for (i, (x, y)) in ordered
-        .unknowns()
-        .iter()
-        .zip(natural.unknowns())
-        .enumerate()
-    {
+    let dense = solve_dc(&c, &dense_reference()).expect("dense DC");
+    for (i, (x, y)) in ordered.unknowns().iter().zip(dense.unknowns()).enumerate() {
         assert_eq!(x.to_bits(), y.to_bits(), "DC unknown {i}: {x} vs {y}");
     }
     let ordered = run_transient(&c, 1e-10, &SimOptions::default()).expect("default transient");
-    let natural = run_transient(&c, 1e-10, &natural_order()).expect("natural transient");
-    assert_eq!(ordered.times(), natural.times(), "step sequences differ");
+    let dense = run_transient(&c, 1e-10, &dense_reference()).expect("dense transient");
+    assert_eq!(ordered.times(), dense.times(), "step sequences differ");
     for id in c.node_ids().skip(1) {
         for (k, (x, y)) in ordered
             .node_series(id)
             .iter()
-            .zip(&natural.node_series(id))
+            .zip(&dense.node_series(id))
             .enumerate()
         {
             assert_eq!(x.to_bits(), y.to_bits(), "sample {k}: {x} vs {y}");
