@@ -1,7 +1,7 @@
 //! Benches for the table-generating characterization flows:
 //! one full paper-protocol characterization per iteration (delay/power
-//! run plus the two leakage runs). These are the units of work behind
-//! Tables 1–4.
+//! run plus the two forked leakage holds). These are the units of work
+//! behind Tables 1–4.
 
 use vls_bench::timing::bench_function;
 use vls_cells::{ShifterKind, VoltagePair};

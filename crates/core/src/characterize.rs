@@ -1,9 +1,9 @@
 //! The paper's measurement protocol.
 //!
-//! One transient run per characterization: a two-cycle pulse train
-//! drives the cell through its input driver chain. Cycle 1 initializes
-//! the cell's dynamic nodes (both designs contain them); cycle 2 is
-//! measured:
+//! A characterization runs two parts. The **stimulus part** is one
+//! transient: a two-cycle pulse train drives the cell through its input
+//! driver chain. Cycle 1 initializes the cell's dynamic nodes (both
+//! designs contain them); cycle 2 is measured:
 //!
 //! * **fall delay** — cell input rising through VDDI/2 → output
 //!   falling through VDDO/2;
@@ -16,24 +16,33 @@
 //!   *into* the 0.8 V output rail through the shifter — metering VDDO
 //!   alone would read negative. The identically sized input drivers
 //!   contribute equally to every design, keeping the comparison fair;
-//! * **leakage high/low** — the cell's total static supply draw with
-//!   the output settled high respectively low, expressed as an
-//!   equivalent VDDO current:
-//!   `(VDDI·I_vddi + VDDO·I_vddo − P_driver) / VDDO`, where
-//!   `P_driver` is the static power of the bare input-driver chain
-//!   (measured separately at DC and subtracted, since the drivers are
-//!   shared by every design). Summing both rails matters because in a
-//!   high-to-low configuration part of the static current enters from
-//!   the input domain and *exits* into the VDDO rail — metering VDDO
-//!   alone would under- or even negative-count it. Extracted from two
-//!   dedicated long-hold transients (one per state, each preceded by
-//!   an initializing pulse): the cell's dynamic internal nodes keep
-//!   relaxing for hundreds of nanoseconds after a switching event, so
-//!   the tail of the fast delay/power run is *not* yet the static
-//!   state the paper's leakage numbers describe.
+//! * **functionality** — the output approaches both rails.
+//!
+//! The **leakage part** measures **leakage high/low** — the cell's
+//! total static supply draw with the output settled high respectively
+//! low, expressed as an equivalent VDDO current:
+//! `(VDDI·I_vddi + VDDO·I_vddo − P_driver) / VDDO`, where `P_driver` is
+//! the static power of the bare input-driver chain (measured separately
+//! at DC and subtracted, since the drivers are shared by every design).
+//! Summing both rails matters because in a high-to-low configuration
+//! part of the static current enters from the input domain and *exits*
+//! into the VDDO rail — metering VDDO alone would under- or even
+//! negative-count it. The cell's dynamic internal nodes keep relaxing
+//! for hundreds of nanoseconds after a switching event, so the tail of
+//! the fast stimulus run is *not* yet the static state the paper's
+//! leakage numbers describe: each state gets a 400 ns hold after an
+//! initializing pulse. The two holds drive the same waveform up to the
+//! 5 ns corner and differ only after it, so they are one simulated
+//! 0–5 ns prefix plus two branches forked from its state
+//! ([`vls_engine::run_transient_forked`]) — bit for bit the two
+//! separate runs, at the cost of one prefix.
+//!
+//! [`characterize`] runs both parts. The delay surfaces of Figures 8/9
+//! read only delays and functionality, so they run the stimulus part
+//! alone.
 
 use vls_cells::{Harness, ShifterKind, VoltagePair};
-use vls_engine::{run_transient, SimOptions, SolverStats, TransientResult};
+use vls_engine::{run_transient, run_transient_forked, SimOptions, SolverStats, TransientResult};
 use vls_units::{Current, Power, Time};
 use vls_variation::PerturbationMap;
 use vls_waveform::{average, delay_between, is_settled, Edge, Waveform};
@@ -170,54 +179,70 @@ fn driver_baseline_power(
     Ok(i_vddi * domains.vddi)
 }
 
-/// One dedicated leakage run: an initializing pulse, then a long hold
-/// in the requested input state; returns the total static supply
-/// power over the settled tail, referred to VDDO and corrected for the
-/// driver baseline.
-fn leakage_run(
+/// The leakage part of the protocol: an initializing pulse, then the
+/// input held high and held low to 400 ns. Both holds share the 0–5 ns
+/// prefix, which is simulated once and forked. Returns the total
+/// static supply power over each settled tail, referred to VDDO and
+/// corrected for the driver baseline, as `(output low, output high)`.
+fn leakage_part(
     kind: &ShifterKind,
     domains: VoltagePair,
     options: &CharacterizeOptions,
-    input_high: bool,
     perturbation: Option<&PerturbationMap>,
     stats: &mut SolverStats,
-) -> Result<f64, CoreError> {
+) -> Result<(f64, f64), CoreError> {
     // Init pulse 1–4 ns; then hold at the target level from 5 ns on.
-    let hold = if input_high { domains.vddi } else { 0.0 };
-    let wave = vls_device::SourceWaveform::Pwl(vec![
-        (0.0, 0.0),
-        (1e-9, 0.0),
-        (1.05e-9, domains.vddi),
-        (4e-9, domains.vddi),
-        (4.05e-9, 0.0),
-        (5e-9, 0.0),
-        (5.05e-9, hold),
-    ]);
-    let mut harness = Harness::build(kind, domains, wave, options.load_farads);
-    if let Some(map) = perturbation {
-        map.apply(&mut harness.circuit);
-    }
+    let fork_at = 5e-9;
+    let hold = |input_high: bool| {
+        let level = if input_high { domains.vddi } else { 0.0 };
+        let wave = vls_device::SourceWaveform::Pwl(vec![
+            (0.0, 0.0),
+            (1e-9, 0.0),
+            (1.05e-9, domains.vddi),
+            (4e-9, domains.vddi),
+            (4.05e-9, 0.0),
+            (fork_at, 0.0),
+            (5.05e-9, level),
+        ]);
+        let mut harness = Harness::build(kind, domains, wave, options.load_farads);
+        if let Some(map) = perturbation {
+            map.apply(&mut harness.circuit);
+        }
+        harness
+    };
+    let input_high = [true, false];
+    let holds = input_high.map(hold);
     let t_end = 400e-9;
     let mut sim = options.sim.clone();
     // Quiet circuit: let the step controller stride.
     sim.max_step = Some(5e-9);
-    let res = run_transient(&harness.circuit, t_end, &sim)?;
-    stats.merge(&res.solver_stats());
-    let i_vddo = supply_current(&res, Harness::VDDO_SOURCE);
-    let i_vddi = supply_current(&res, Harness::VDDI_SOURCE);
-    let out = Waveform::new(res.times().to_vec(), res.node_series(harness.output))
-        .expect("engine produces monotonic time");
-    let window = 50e-9;
-    if !is_settled(&out, window, 0.02 * domains.vddo) {
-        return Err(CoreError::NotSettled(format!(
-            "leakage run (input {}) did not settle",
-            if input_high { "high" } else { "low" }
-        )));
+    let forked = run_transient_forked(
+        &[&holds[0].circuit, &holds[1].circuit],
+        fork_at,
+        t_end,
+        &sim,
+    )?;
+    stats.merge(&forked.solver_stats());
+    let mut leakage = [0.0; 2];
+    for (k, branch) in forked.into_branches().into_iter().enumerate() {
+        let res = branch?;
+        let i_vddo = supply_current(&res, Harness::VDDO_SOURCE);
+        let i_vddi = supply_current(&res, Harness::VDDI_SOURCE);
+        let v_out = Waveform::new(res.times().to_vec(), res.node_series(holds[k].output))
+            .expect("engine produces monotonic time");
+        let window = 50e-9;
+        if !is_settled(&v_out, window, 0.02 * domains.vddo) {
+            return Err(CoreError::NotSettled(format!(
+                "leakage run (input {}) did not settle",
+                if input_high[k] { "high" } else { "low" }
+            )));
+        }
+        let p_total = average(&i_vddo, t_end - window, t_end) * domains.vddo
+            + average(&i_vddi, t_end - window, t_end) * domains.vddi;
+        let p_cell = p_total - driver_baseline_power(domains, options, input_high[k], stats)?;
+        leakage[k] = p_cell / domains.vddo;
     }
-    let p_total = average(&i_vddo, t_end - window, t_end) * domains.vddo
-        + average(&i_vddi, t_end - window, t_end) * domains.vddi;
-    let p_cell = p_total - driver_baseline_power(domains, options, input_high, stats)?;
-    Ok(p_cell / domains.vddo)
+    Ok((leakage[0], leakage[1]))
 }
 
 /// Runs the paper's measurement protocol for `kind` at `domains`.
@@ -250,8 +275,9 @@ pub fn characterize_with(
 
 /// [`characterize_with`] also returning the aggregated
 /// [`SolverStats`] of every engine run the protocol performed (the
-/// stimulus transient, both leakage transients and the driver-baseline
-/// DC solves) — what the Monte Carlo drivers fold into the runner's
+/// stimulus transient, the forked leakage holds with their shared
+/// prefix counted once, and the driver-baseline DC solves) — what the
+/// Monte Carlo drivers fold into the runner's
 /// [`vls_runner::RunReport`].
 pub fn characterize_with_stats(
     kind: &ShifterKind,
@@ -259,23 +285,32 @@ pub fn characterize_with_stats(
     options: &CharacterizeOptions,
     perturbation: Option<&PerturbationMap>,
 ) -> Result<(CellMetrics, SolverStats), CoreError> {
-    // The standard two-cycle train at the configured edge slew; the
-    // default 50 ps reproduces `Harness::standard_stimulus` exactly.
-    let (wave, t_rise2, t_fall2, t_end) =
-        Harness::pulse_stimulus_with_slew(domains, 7e-9, 8.9e-9, options.input_slew);
     let mut stats = SolverStats::default();
-    let metrics = characterize_stimulus(
-        kind,
-        domains,
-        options,
-        perturbation,
-        wave,
-        t_rise2,
-        t_fall2,
-        t_end,
-        &mut stats,
-    )?;
+    let s = stimulus_part(kind, domains, options, perturbation, &mut stats)?;
+    let (leakage_low, leakage_high) =
+        leakage_part(kind, domains, options, perturbation, &mut stats)?;
+    let metrics = CellMetrics {
+        delay_rise: s.delay_rise,
+        delay_fall: s.delay_fall,
+        power_rise: s.power_rise,
+        power_fall: s.power_fall,
+        leakage_high: Current::from_amps(leakage_high),
+        leakage_low: Current::from_amps(leakage_low),
+        functional: s.functional,
+    };
     Ok((metrics, stats))
+}
+
+/// The stimulus part alone, nominal devices: delays, switching powers
+/// and the functionality verdict of one stimulus transient, with no
+/// leakage holds. [`characterize`] reports the same delays and verdict
+/// bit for bit.
+pub(crate) fn characterize_delays(
+    kind: &ShifterKind,
+    domains: VoltagePair,
+    options: &CharacterizeOptions,
+) -> Result<StimulusMetrics, CoreError> {
+    stimulus_part(kind, domains, options, None, &mut SolverStats::default())
 }
 
 /// The paper's worst-case delay protocol: "the delays … are dependent
@@ -334,20 +369,30 @@ pub fn characterize_worst_case(
     Ok(metrics)
 }
 
-/// One protocol run under an explicit stimulus; the building block of
-/// both the standard and worst-case flows.
-#[allow(clippy::too_many_arguments)] // the stimulus markers travel together
-fn characterize_stimulus(
+/// What the stimulus transient measures: every [`CellMetrics`] field
+/// but the leakage pair.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct StimulusMetrics {
+    pub delay_rise: Time,
+    pub delay_fall: Time,
+    pub power_rise: Power,
+    pub power_fall: Power,
+    /// `true` when the output reached both rails within tolerance.
+    pub functional: bool,
+}
+
+/// The stimulus part of the protocol: the standard two-cycle train at
+/// the configured edge slew (the default 50 ps reproduces
+/// `Harness::standard_stimulus` exactly), measured on its second cycle.
+fn stimulus_part(
     kind: &ShifterKind,
     domains: VoltagePair,
     options: &CharacterizeOptions,
     perturbation: Option<&PerturbationMap>,
-    wave: vls_device::SourceWaveform,
-    t_rise2: f64,
-    t_fall2: f64,
-    t_end: f64,
     stats: &mut SolverStats,
-) -> Result<CellMetrics, CoreError> {
+) -> Result<StimulusMetrics, CoreError> {
+    let (wave, t_rise2, t_fall2, t_end) =
+        Harness::pulse_stimulus_with_slew(domains, 7e-9, 8.9e-9, options.input_slew);
     let mut harness = Harness::build(kind, domains, wave, options.load_farads);
     if let Some(map) = perturbation {
         map.apply(&mut harness.circuit);
@@ -390,28 +435,19 @@ fn characterize_stimulus(
         average(&p.vddo_current, t0, t0 + w) * domains.vddo
             + average(&p.vddi_current, t0, t0 + w) * domains.vddi
     };
-    let power_fall_avg = power_at(t_rise2);
-    let power_rise_avg = power_at(t_fall2);
 
-    // Dedicated long-hold leakage runs.
-    let leakage_low = leakage_run(kind, domains, options, true, perturbation, stats)?;
-    let leakage_high = leakage_run(kind, domains, options, false, perturbation, stats)?;
-
-    // Functionality: the output must approach both rails in the fast
-    // run.
+    // Functionality: the output must approach both rails.
     let low_phase_end = t_fall2 - 0.2e-9;
     let tol = options.level_tolerance * domains.vddo;
     let v_low = p.output.value_at(low_phase_end);
     let v_high = p.output.value_at(t_end);
     let functional = v_low.abs() <= tol && (v_high - domains.vddo).abs() <= tol;
 
-    Ok(CellMetrics {
+    Ok(StimulusMetrics {
         delay_rise: Time::from_secs(delay_rise),
         delay_fall: Time::from_secs(delay_fall),
-        power_rise: Power::from_watts(power_rise_avg),
-        power_fall: Power::from_watts(power_fall_avg),
-        leakage_high: Current::from_amps(leakage_high),
-        leakage_low: Current::from_amps(leakage_low),
+        power_rise: Power::from_watts(power_at(t_fall2)),
+        power_fall: Power::from_watts(power_at(t_rise2)),
         functional,
     })
 }

@@ -33,6 +33,10 @@ impl RobustnessReport {
 /// characterizations at both paper corners, at each temperature in
 /// `temperatures_celsius`.
 ///
+/// A grid point passes when its stimulus run translates
+/// ([`delay_surface`] runs no leakage holds); every Monte Carlo trial
+/// runs the full protocol, so its leakage settle check still counts.
+///
 /// # Errors
 ///
 /// Propagates Monte Carlo runs in which every trial failed.

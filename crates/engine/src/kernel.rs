@@ -111,6 +111,7 @@ fn factor_sparse(
 // One instance lives per kernel (per circuit), never in a collection,
 // so the variant size difference costs nothing.
 #[allow(clippy::large_enum_variant)]
+#[derive(Clone)]
 enum LinearPath {
     Dense {
         a: DenseMatrix,
@@ -132,6 +133,7 @@ enum LinearPath {
 }
 
 /// A non-identity elimination order and its permutation workspaces.
+#[derive(Clone)]
 struct FillOrder {
     /// `perm[new] = old`.
     perm: Vec<usize>,
@@ -248,6 +250,24 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
     /// The counters accumulated since construction.
     pub fn stats(&self) -> SolverStats {
         self.stats
+    }
+
+    /// This kernel's numeric state — compiled pattern, factors, pivot
+    /// order and bypass caches — bound to `mna`, a circuit whose stamp
+    /// sequence is the same, with zeroed counters. Solving on the copy
+    /// is bit-identical to solving on this kernel.
+    pub fn fork<'m2, 'c2>(&self, mna: &'m2 Mna<'c2>) -> NewtonKernel<'m2, 'c2> {
+        NewtonKernel {
+            mna,
+            path: self.path.clone(),
+            b: self.b.clone(),
+            x: self.x.clone(),
+            x_new: self.x_new.clone(),
+            delta: self.delta.clone(),
+            stamp_caches: self.stamp_caches.clone(),
+            cap_caches: self.cap_caches.clone(),
+            stats: SolverStats::default(),
+        }
     }
 
     /// Meyer capacitance evaluation through the bypass cache (the

@@ -49,7 +49,9 @@ pub use mna::unknown_count;
 pub use op_report::{op_report, MosRegion, OpEntry, OpReport};
 pub use options::SimOptions;
 pub use sweep::{dc_sweep, dc_sweep_with_stats, DcSweepPoint, SweepStats};
-pub use tran::{run_transient, run_transient_uic, TransientResult};
+pub use tran::{
+    run_transient, run_transient_forked, run_transient_uic, ForkedTransient, TransientResult,
+};
 pub use vls_check::CheckLevel;
 pub use vls_fault::{FaultPlan, FaultSession, FaultSite, FaultSpec, LadderStage};
 pub use vls_num::SolverStats;
@@ -96,6 +98,9 @@ pub enum EngineError {
     },
     /// The netlist failed validation before simulation.
     BadNetlist(String),
+    /// A forked transient was asked for circuits or a fork time that
+    /// cannot share one prefix (see [`run_transient_forked`]).
+    BadFork(String),
     /// A per-trial work budget (Newton iterations or transient step
     /// attempts) was exhausted — the deterministic analogue of a
     /// wall-clock timeout.
@@ -112,13 +117,14 @@ pub enum EngineError {
 impl EngineError {
     /// A stable machine-readable class token for failure taxonomies
     /// (`no_convergence`, `singular`, `step_underflow`, `bad_netlist`,
-    /// `budget_exhausted`).
+    /// `bad_fork`, `budget_exhausted`).
     pub fn failure_class(&self) -> &'static str {
         match self {
             EngineError::NoConvergence { .. } => "no_convergence",
             EngineError::Singular { .. } => "singular",
             EngineError::StepUnderflow { .. } => "step_underflow",
             EngineError::BadNetlist(_) => "bad_netlist",
+            EngineError::BadFork(_) => "bad_fork",
             EngineError::BudgetExhausted { .. } => "budget_exhausted",
         }
     }
@@ -137,6 +143,7 @@ impl core::fmt::Display for EngineError {
                 write!(f, "transient step size underflow at t = {time:.3e} s")
             }
             EngineError::BadNetlist(msg) => write!(f, "bad netlist: {msg}"),
+            EngineError::BadFork(msg) => write!(f, "bad transient fork: {msg}"),
             EngineError::BudgetExhausted {
                 context,
                 spent,

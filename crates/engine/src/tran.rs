@@ -9,6 +9,9 @@
 //! disagreement between the predictor (polynomial extrapolation) and
 //! the corrector below `SimOptions::lte_tol`; steps are forced to land
 //! on every source breakpoint so input edges are never straddled.
+//! Because the stepper drops its history at a breakpoint, a run whose
+//! stimuli share a prefix can be simulated once up to a shared
+//! breakpoint and forked there ([`run_transient_forked`]).
 //!
 //! Integration uses a θ-damped trapezoid (θ = 0.55): plain trapezoidal
 //! integration is only marginally stable and lets capacitor-current
@@ -19,7 +22,7 @@
 //! engine additionally drops to backward Euler, which kills any
 //! residual oscillation outright where accuracy is free.
 
-use vls_device::MosBias;
+use vls_device::{MosBias, SourceWaveform};
 use vls_fault::FaultSession;
 use vls_netlist::{Circuit, Element, NodeId};
 use vls_num::SolverStats;
@@ -103,6 +106,7 @@ impl TransientResult {
 const THETA: f64 = 0.55;
 
 /// One dynamic (capacitive) branch tracked across steps.
+#[derive(Clone)]
 struct DynamicCap {
     a: Option<usize>,
     b: Option<usize>,
@@ -116,6 +120,7 @@ struct DynamicCap {
 }
 
 /// Per-MOSFET bookkeeping for the five Meyer capacitances.
+#[derive(Clone)]
 struct MosCapsRef {
     elem_idx: usize,
     /// Indices into the dynamic-cap array: gs, gd, gb, db, sb.
@@ -185,91 +190,182 @@ pub fn run_transient_uic(
     transient_from_state(circuit, tstop, options, x0, SolverStats::default())
 }
 
-/// The stepping core shared by the DC-initialized and UIC entry
-/// points. `initial_stats` carries the counters of the DC solve that
-/// produced `initial` (zero for UIC) so the result reports whole-run
-/// totals.
-fn transient_from_state(
-    circuit: &Circuit,
+/// The results of [`run_transient_forked`]: one transient per circuit,
+/// all sharing one simulated prefix.
+#[derive(Debug, Clone)]
+pub struct ForkedTransient {
+    branches: Vec<Result<TransientResult, EngineError>>,
+    stats: SolverStats,
+}
+
+impl ForkedTransient {
+    /// One outcome per circuit, in the order the circuits were given.
+    /// A branch that failed after the fork holds its own error; its
+    /// siblings are unaffected.
+    pub fn into_branches(self) -> Vec<Result<TransientResult, EngineError>> {
+        self.branches
+    }
+
+    /// Work counters of the whole call: the initial DC solve and the
+    /// shared prefix counted once, plus every branch's own stepping
+    /// (failed branches included).
+    pub fn solver_stats(&self) -> SolverStats {
+        self.stats
+    }
+}
+
+/// Runs one transient prefix up to the breakpoint `fork_at`, then
+/// continues each circuit of `circuits` from the state the prefix
+/// reached, to `tstop`.
+///
+/// The circuits must share one MNA layout — the same nodes and the
+/// same elements with the same values, in the same order — and may
+/// differ only in independent-source waveforms that agree up to the
+/// fork. A source that differs must be piecewise linear in every
+/// circuit, with identical corners up to and including one at
+/// `fork_at`, so its value on `[0, fork_at]` is the same in all of
+/// them. Every circuit then takes the same steps up to the fork, and at
+/// a breakpoint the stepper has already reset its step size,
+/// integration order and predictor history. What a branch inherits is
+/// therefore small: the time and unknowns, each companion capacitor's
+/// voltage and current history, the step-attempt count (the
+/// [`SimOptions::step_budget`] keeps counting), the fault-session
+/// position, and the Newton kernel's factors and caches.
+///
+/// Branch `k` equals `run_transient(circuits[k], tstop, options)` bit
+/// for bit: its samples start with the shared prefix and its
+/// [`TransientResult::solver_stats`] count the prefix as an
+/// uninterrupted run would. [`ForkedTransient::solver_stats`] counts
+/// the prefix once.
+///
+/// # Errors
+///
+/// [`EngineError::BadFork`] when `circuits` is empty, `fork_at` is not
+/// inside `(0, tstop)` or is not a breakpoint of the first circuit, or
+/// a circuit's layout or sources do not match the first one's as
+/// described above. Preflight, DC and prefix failures are the whole
+/// call's error; a failure after the fork is that branch's entry in
+/// [`ForkedTransient::into_branches`].
+pub fn run_transient_forked(
+    circuits: &[&Circuit],
+    fork_at: f64,
     tstop: f64,
     options: &SimOptions,
-    initial: Vec<f64>,
-    initial_stats: SolverStats,
-) -> Result<TransientResult, EngineError> {
-    let mna = Mna::new(circuit);
-    let mut x = initial;
-
-    // --- dynamic branch setup ---------------------------------------
-    let mut caps: Vec<DynamicCap> = Vec::new();
-    let mut mos_refs: Vec<MosCapsRef> = Vec::new();
-    for (elem_idx, e) in circuit.elements().iter().enumerate() {
-        match e {
-            Element::Capacitor {
-                a, b, capacitor, ..
-            } if capacitor.capacitance() > 0.0 => {
-                caps.push(DynamicCap {
-                    a: mna.idx(*a),
-                    b: mna.idx(*b),
-                    c: capacitor.capacitance(),
-                    v_prev: 0.0,
-                    i_prev: 0.0,
-                });
-            }
-            Element::Mosfet {
-                drain,
-                gate,
-                source,
-                bulk,
-                ..
-            } => {
-                let (d, g, s, bk) = (
-                    mna.idx(*drain),
-                    mna.idx(*gate),
-                    mna.idx(*source),
-                    mna.idx(*bulk),
-                );
-                let pairs = [(g, s), (g, d), (g, bk), (d, bk), (s, bk)];
-                let base = caps.len();
-                for (na, nb) in pairs {
-                    caps.push(DynamicCap {
-                        a: na,
-                        b: nb,
-                        c: 0.0,
-                        v_prev: 0.0,
-                        i_prev: 0.0,
-                    });
-                }
-                mos_refs.push(MosCapsRef {
-                    elem_idx,
-                    slots: [base, base + 1, base + 2, base + 3, base + 4],
-                });
-            }
-            _ => {}
+) -> Result<ForkedTransient, EngineError> {
+    let Some((&first, rest)) = circuits.split_first() else {
+        return Err(EngineError::BadFork("no circuits to fork".into()));
+    };
+    if !(tstop.is_finite() && fork_at > 0.0 && fork_at < tstop) {
+        return Err(EngineError::BadFork(format!(
+            "fork time {fork_at:e} s is not inside (0, {tstop:e}) s"
+        )));
+    }
+    if !breakpoints(first, tstop).contains(&fork_at) {
+        return Err(EngineError::BadFork(format!(
+            "fork time {fork_at:e} s is not a source breakpoint"
+        )));
+    }
+    for (k, c) in rest.iter().enumerate() {
+        if let Some(why) = fork_mismatch(first, c, fork_at) {
+            return Err(EngineError::BadFork(format!("circuit {}: {why}", k + 1)));
         }
+        crate::preflight(c, options)?;
     }
-    let volt_of = |x: &[f64], n: Option<usize>| n.map_or(0.0, |i| x[i]);
-    // Initialize branch voltages from the DC point.
-    for cap in caps.iter_mut() {
-        cap.v_prev = volt_of(&x, cap.a) - volt_of(&x, cap.b);
-    }
-
-    // One Newton kernel for the whole run: the transient stamp
-    // pattern (including every companion branch — zero-cap slots are
-    // stamped as placeholders, so the pattern never changes between
-    // steps) is analyzed once, and the LU storage, workspaces and
-    // bypass caches persist across all time steps.
-    let probe: Vec<CompanionCap> = caps
+    let dc = solve_dc_at(first, options, 0.0)?;
+    let mnas: Vec<Mna> = circuits.iter().map(|c| Mna::new(c)).collect();
+    let mut prefix = Stepper::new(
+        first,
+        &mnas[0],
+        options,
+        tstop,
+        dc.unknowns().to_vec(),
+        dc.solver_stats(),
+    );
+    prefix.run_until(fork_at, options)?;
+    let mut stats = prefix.stats();
+    let prefix_fired = prefix.state.faults.fired();
+    let branches = circuits
         .iter()
-        .map(|cap| CompanionCap {
-            a: cap.a,
-            b: cap.b,
-            geq: 0.0,
-            ieq: 0.0,
+        .zip(&mnas)
+        .map(|(c, mna)| {
+            let mut branch = prefix.fork(c, mna);
+            let outcome = branch.run_until(tstop, options);
+            stats.merge(&branch.kernel.stats());
+            stats.injected_faults += branch.state.faults.fired() - prefix_fired;
+            outcome.map(|()| branch.finish())
         })
         .collect();
-    let mut kernel = NewtonKernel::new(&mna, options, Some(&probe));
+    Ok(ForkedTransient { branches, stats })
+}
 
-    // --- breakpoints -------------------------------------------------
+/// Why `b` cannot continue a prefix simulated on `a` up to `fork_at`,
+/// or `None` when it can (see [`run_transient_forked`]).
+fn fork_mismatch(a: &Circuit, b: &Circuit, fork_at: f64) -> Option<String> {
+    if a.node_count() != b.node_count() || a.elements().len() != b.elements().len() {
+        return Some("the MNA layouts differ".into());
+    }
+    for (ea, eb) in a.elements().iter().zip(b.elements()) {
+        match (ea, eb) {
+            (
+                Element::VoltageSource {
+                    name,
+                    pos,
+                    neg,
+                    wave,
+                },
+                Element::VoltageSource {
+                    name: name_b,
+                    pos: pos_b,
+                    neg: neg_b,
+                    wave: wave_b,
+                },
+            )
+            | (
+                Element::CurrentSource {
+                    name,
+                    pos,
+                    neg,
+                    wave,
+                },
+                Element::CurrentSource {
+                    name: name_b,
+                    pos: pos_b,
+                    neg: neg_b,
+                    wave: wave_b,
+                },
+            ) => {
+                if (name, pos, neg) != (name_b, pos_b, neg_b) {
+                    return Some(format!("the MNA layouts differ at source {name}"));
+                }
+                if !waves_agree_until(wave, wave_b, fork_at) {
+                    return Some(format!("source {name} differs before the fork"));
+                }
+            }
+            _ if ea == eb => {}
+            _ => return Some(format!("the MNA layouts differ at element {}", ea.name())),
+        }
+    }
+    None
+}
+
+/// Whether two source waveforms take bit-identical values on
+/// `[0, fork_at]`: they are equal, or both are piecewise linear with
+/// the same corners up to and including one at `fork_at` (a PWL value
+/// there depends on no later corner).
+fn waves_agree_until(a: &SourceWaveform, b: &SourceWaveform, fork_at: f64) -> bool {
+    fn head(w: &SourceWaveform, fork_at: f64) -> Option<&[(f64, f64)]> {
+        let SourceWaveform::Pwl(points) = w else {
+            return None;
+        };
+        let k = points.iter().position(|&(t, _)| t == fork_at)?;
+        Some(&points[..=k])
+    }
+    a == b || matches!((head(a, fork_at), head(b, fork_at)), (Some(x), Some(y)) if x == y)
+}
+
+/// The stepper's breakpoints for `circuit` over `(0, tstop]`: every
+/// source corner plus `tstop`, sorted, near-duplicates merged.
+fn breakpoints(circuit: &Circuit, tstop: f64) -> Vec<f64> {
     let mut breakpoints: Vec<f64> = Vec::new();
     for e in circuit.elements() {
         if let Element::VoltageSource { wave, .. } | Element::CurrentSource { wave, .. } = e {
@@ -280,215 +376,428 @@ fn transient_from_state(
     breakpoints.retain(|&t| t > 0.0);
     breakpoints.sort_by(|a, b| a.partial_cmp(b).expect("finite breakpoints"));
     breakpoints.dedup_by(|a, b| (*a - *b).abs() < 1e-18);
+    breakpoints
+}
 
-    // --- stepping ----------------------------------------------------
-    // One fault session for the whole stepping phase (the initial DC
-    // solve, when any, ran under its own session).
-    let mut faults = FaultSession::new(&options.fault);
-    let mut step_attempts: u64 = 0;
-    let temp_k = options.temperature.as_kelvin();
-    let max_step = options.max_step.unwrap_or(tstop / 50.0);
-    let mut h = options.initial_step.min(max_step);
-    let mut t = 0.0f64;
-    let mut use_trap = false; // first step after DC is backward Euler
-    let mut bp_iter = breakpoints.iter().copied().peekable();
+/// The DC-initialized and UIC entry points: one stepper from
+/// `initial` to `tstop`. `initial_stats` carries the counters of the DC
+/// solve that produced `initial` (zero for UIC) so the result reports
+/// whole-run totals.
+fn transient_from_state(
+    circuit: &Circuit,
+    tstop: f64,
+    options: &SimOptions,
+    initial: Vec<f64>,
+    initial_stats: SolverStats,
+) -> Result<TransientResult, EngineError> {
+    let mna = Mna::new(circuit);
+    let mut stepper = Stepper::new(circuit, &mna, options, tstop, initial, initial_stats);
+    stepper.run_until(tstop, options)?;
+    Ok(stepper.finish())
+}
 
-    let mut times = vec![0.0];
-    let mut samples = vec![x.clone()];
-    // History for the predictor.
-    let mut x_prevprev: Option<(Vec<f64>, f64)> = None; // (solution, h of last step)
+fn volt_of(x: &[f64], n: Option<usize>) -> f64 {
+    n.map_or(0.0, |i| x[i])
+}
 
-    let mut companions: Vec<CompanionCap> = Vec::with_capacity(caps.len());
+/// Everything the stepping loop carries from one accepted time point
+/// to the next. Cloning it at a breakpoint forks the run.
+#[derive(Clone)]
+struct StepState {
+    t: f64,
+    /// Size proposed for the next step.
+    h: f64,
+    /// `false` right after the initial point, a breakpoint or a Newton
+    /// failure: the next step is backward Euler.
+    use_trap: bool,
+    x: Vec<f64>,
+    /// Predictor history: the previous solution and the size of the
+    /// last step.
+    x_prevprev: Option<(Vec<f64>, f64)>,
+    caps: Vec<DynamicCap>,
+    /// One fault session for the whole stepping phase (the initial DC
+    /// solve, when any, ran under its own session).
+    faults: FaultSession,
+    /// Every attempt, accepted or rejected, draws from the step budget.
+    step_attempts: u64,
+    times: Vec<f64>,
+    samples: Vec<Vec<f64>>,
+}
 
-    while t < tstop - 1e-21 {
-        // Refresh Meyer capacitances at the last accepted solution.
-        for m in &mos_refs {
-            if let Element::Mosfet {
-                drain,
-                gate,
-                source,
-                bulk,
-                model,
-                geom,
-                ..
-            } = &circuit.elements()[m.elem_idx]
-            {
-                let vg = mna.voltage(&x, *gate);
-                let vd = mna.voltage(&x, *drain);
-                let vs = mna.voltage(&x, *source);
-                let vb = mna.voltage(&x, *bulk);
-                let mc = kernel.eval_caps(
-                    m.elem_idx,
-                    model,
-                    geom,
-                    MosBias::new(vg, vd, vs, vb),
-                    temp_k,
-                    options.bypass_vtol,
-                );
-                let values = [mc.cgs, mc.cgd, mc.cgb, mc.cdb, mc.csb];
-                for (slot, val) in m.slots.iter().zip(values) {
-                    caps[*slot].c = val;
-                }
-            }
-        }
+/// The transient stepper of one circuit: its dynamic-branch layout,
+/// breakpoints and Newton kernel, plus the [`StepState`] it advances.
+struct Stepper<'m, 'c> {
+    circuit: &'c Circuit,
+    mna: &'m Mna<'c>,
+    kernel: NewtonKernel<'m, 'c>,
+    mos_refs: Vec<MosCapsRef>,
+    breakpoints: Vec<f64>,
+    /// Index of the first breakpoint not yet consumed.
+    next_bp: usize,
+    tstop: f64,
+    max_step: f64,
+    companions: Vec<CompanionCap>,
+    /// Counters of the work done before this stepper's kernel: the
+    /// initial DC solve, and for a fork branch the shared prefix.
+    base_stats: SolverStats,
+    state: StepState,
+}
 
-        // Clamp the step to the next breakpoint.
-        let next_bp = loop {
-            match bp_iter.peek() {
-                Some(&bp) if bp <= t + 1e-21 => {
-                    bp_iter.next();
-                }
-                Some(&bp) => break Some(bp),
-                None => break None,
-            }
-        };
-        let mut h_now = h.min(max_step).min(tstop - t);
-        let mut lands_on_bp = false;
-        if let Some(bp) = next_bp {
-            if t + h_now >= bp - 1e-21 {
-                h_now = bp - t;
-                lands_on_bp = true;
-            }
-        }
-
-        // Inner attempt loop: shrink h_now on Newton failure or huge LTE.
-        let accepted = loop {
-            if h_now < options.min_step {
-                return Err(EngineError::StepUnderflow { time: t });
-            }
-            // Deterministic timeout: every attempt (accepted or
-            // rejected) draws from the step budget.
-            step_attempts += 1;
-            if let Some(budget) = options.step_budget {
-                if step_attempts > budget {
-                    return Err(EngineError::BudgetExhausted {
-                        context: format!("transient stepping at t = {t:.3e} s"),
-                        spent: step_attempts,
-                        budget,
+impl<'m, 'c> Stepper<'m, 'c> {
+    /// A stepper at `t = 0` in state `initial`, whose producing solve
+    /// spent `base_stats`.
+    fn new(
+        circuit: &'c Circuit,
+        mna: &'m Mna<'c>,
+        options: &SimOptions,
+        tstop: f64,
+        initial: Vec<f64>,
+        base_stats: SolverStats,
+    ) -> Self {
+        // --- dynamic branch setup -----------------------------------
+        let mut caps: Vec<DynamicCap> = Vec::new();
+        let mut mos_refs: Vec<MosCapsRef> = Vec::new();
+        for (elem_idx, e) in circuit.elements().iter().enumerate() {
+            match e {
+                Element::Capacitor {
+                    a, b, capacitor, ..
+                } if capacitor.capacitance() > 0.0 => {
+                    caps.push(DynamicCap {
+                        a: mna.idx(*a),
+                        b: mna.idx(*b),
+                        c: capacitor.capacitance(),
+                        v_prev: 0.0,
+                        i_prev: 0.0,
                     });
                 }
-            }
-            // θ-damped trapezoid; backward Euler (θ = 1) right after
-            // breakpoints/failures and when cruising on a plateau.
-            let theta = if use_trap && h_now < 0.99 * max_step {
-                THETA
-            } else {
-                1.0
-            };
-            // Build companion models (full-length, zero-cap slots are
-            // placeholders so state updates stay index-aligned).
-            companions.clear();
-            for cap in &caps {
-                if cap.c <= 0.0 {
-                    companions.push(CompanionCap {
-                        a: cap.a,
-                        b: cap.b,
-                        geq: 0.0,
-                        ieq: 0.0,
+                Element::Mosfet {
+                    drain,
+                    gate,
+                    source,
+                    bulk,
+                    ..
+                } => {
+                    let (d, g, s, bk) = (
+                        mna.idx(*drain),
+                        mna.idx(*gate),
+                        mna.idx(*source),
+                        mna.idx(*bulk),
+                    );
+                    let pairs = [(g, s), (g, d), (g, bk), (d, bk), (s, bk)];
+                    let base = caps.len();
+                    for (na, nb) in pairs {
+                        caps.push(DynamicCap {
+                            a: na,
+                            b: nb,
+                            c: 0.0,
+                            v_prev: 0.0,
+                            i_prev: 0.0,
+                        });
+                    }
+                    mos_refs.push(MosCapsRef {
+                        elem_idx,
+                        slots: [base, base + 1, base + 2, base + 3, base + 4],
                     });
-                    continue;
                 }
-                let geq = cap.c / (theta * h_now);
-                let ieq = geq * cap.v_prev + (1.0 - theta) / theta * cap.i_prev;
-                companions.push(CompanionCap {
-                    a: cap.a,
-                    b: cap.b,
-                    geq,
-                    ieq,
-                });
+                _ => {}
             }
-            let ctx = StampCtx {
-                time: t + h_now,
-                source_scale: 1.0,
-                gmin: options.gmin,
-                temp_k,
-                reactive: Some(&companions),
-            };
-            match kernel.solve(&x, &ctx, options, &mut faults) {
-                Ok((x_new, _iters)) => {
-                    if faults.fire_lte() {
-                        // Injected LTE rejection: discard the converged
-                        // solution and quarter the step, exactly as a
-                        // real predictor disagreement below would.
-                        h_now /= 4.0;
-                        lands_on_bp = false;
-                        continue;
-                    }
-                    // Predictor for LTE: linear extrapolation through the
-                    // two previous points (zero-order on the first step).
-                    let nvu = mna.node_unknowns();
-                    let mut err_ratio = 0.0f64;
-                    for i in 0..nvu {
-                        let pred = match &x_prevprev {
-                            Some((xp, hp)) if *hp > 0.0 => x[i] + (x[i] - xp[i]) * (h_now / hp),
-                            _ => x[i],
-                        };
-                        let tol = options.lte_tol + options.reltol * x_new[i].abs();
-                        err_ratio = err_ratio.max((x_new[i] - pred).abs() / tol);
-                    }
-                    // Reject wildly inaccurate steps (unless pinned to a
-                    // breakpoint edge at minimum size already).
-                    if err_ratio > 16.0 && h_now > options.min_step * 64.0 {
-                        h_now /= 4.0;
-                        lands_on_bp = false;
-                        continue;
-                    }
-                    break Some((x_new, err_ratio));
-                }
-                Err(_) => {
-                    h_now /= 8.0;
-                    lands_on_bp = false;
-                    use_trap = false; // BE is more robust
-                    continue;
-                }
-            }
-        };
-        let (x_new, err_ratio) = accepted.expect("loop breaks with Some or returns");
-
-        // Update dynamic-branch state via the companion identity
-        // i_new = geq·v_new − ieq.
-        for (cap, comp) in caps.iter_mut().zip(&companions) {
-            let v_new = volt_of(&x_new, cap.a) - volt_of(&x_new, cap.b);
-            if cap.c > 0.0 {
-                cap.i_prev = comp.geq * v_new - comp.ieq;
-            }
-            cap.v_prev = v_new;
+        }
+        // Initialize branch voltages from the initial point.
+        for cap in caps.iter_mut() {
+            cap.v_prev = volt_of(&initial, cap.a) - volt_of(&initial, cap.b);
         }
 
-        t += h_now;
-        x_prevprev = Some((std::mem::replace(&mut x, x_new), h_now));
-        times.push(t);
-        samples.push(x.clone());
-
-        // Step-size controller.
-        let grow = (1.0 / (err_ratio + 0.05)).sqrt().clamp(0.3, 2.0);
-        h = (h_now * grow).min(max_step);
-        if lands_on_bp {
-            // Restart conservatively after an input corner.
-            h = options.initial_step.min(max_step);
-            use_trap = false;
-            x_prevprev = None;
-        } else {
-            use_trap = true;
+        // One Newton kernel for the whole run: the transient stamp
+        // pattern (including every companion branch — zero-cap slots
+        // are stamped as placeholders, so the pattern never changes
+        // between steps) is analyzed once, and the LU storage,
+        // workspaces and bypass caches persist across all time steps.
+        let probe: Vec<CompanionCap> = caps
+            .iter()
+            .map(|cap| CompanionCap {
+                a: cap.a,
+                b: cap.b,
+                geq: 0.0,
+                ieq: 0.0,
+            })
+            .collect();
+        let kernel = NewtonKernel::new(mna, options, Some(&probe));
+        let max_step = options.max_step.unwrap_or(tstop / 50.0);
+        Self {
+            circuit,
+            mna,
+            kernel,
+            mos_refs,
+            breakpoints: breakpoints(circuit, tstop),
+            next_bp: 0,
+            tstop,
+            max_step,
+            companions: Vec::with_capacity(caps.len()),
+            base_stats,
+            state: StepState {
+                t: 0.0,
+                h: options.initial_step.min(max_step),
+                use_trap: false, // first step after DC is backward Euler
+                times: vec![0.0],
+                samples: vec![initial.clone()],
+                x: initial,
+                x_prevprev: None,
+                caps,
+                faults: FaultSession::new(&options.fault),
+                step_attempts: 0,
+            },
         }
     }
 
-    let branch_names = circuit
-        .elements()
-        .iter()
-        .filter(|e| e.needs_branch_current())
-        .map(|e| e.name().to_string())
-        .collect();
-    let mut stats = initial_stats;
-    stats.merge(&kernel.stats());
-    stats.injected_faults += faults.fired();
-    Ok(TransientResult {
-        times,
-        samples,
-        n_node_unknowns: mna.node_unknowns(),
-        branch_names,
-        stats,
-    })
+    /// This stepper's state continued on `circuit`, which has the same
+    /// layout (checked by [`fork_mismatch`]). The kernel's factors and
+    /// caches carry over, so the branch computes exactly what an
+    /// uninterrupted run on `circuit` would.
+    fn fork<'m2, 'c2>(&self, circuit: &'c2 Circuit, mna: &'m2 Mna<'c2>) -> Stepper<'m2, 'c2> {
+        let mut base_stats = self.base_stats;
+        base_stats.merge(&self.kernel.stats());
+        Stepper {
+            circuit,
+            mna,
+            kernel: self.kernel.fork(mna),
+            mos_refs: self.mos_refs.clone(),
+            breakpoints: breakpoints(circuit, self.tstop),
+            next_bp: 0,
+            tstop: self.tstop,
+            max_step: self.max_step,
+            companions: Vec::with_capacity(self.state.caps.len()),
+            base_stats,
+            state: self.state.clone(),
+        }
+    }
+
+    /// Whole-run counters so far: the base solves, this kernel's
+    /// solves and every injected fault.
+    fn stats(&self) -> SolverStats {
+        let mut stats = self.base_stats;
+        stats.merge(&self.kernel.stats());
+        stats.injected_faults += self.state.faults.fired();
+        stats
+    }
+
+    fn finish(self) -> TransientResult {
+        let stats = self.stats();
+        let branch_names = self
+            .circuit
+            .elements()
+            .iter()
+            .filter(|e| e.needs_branch_current())
+            .map(|e| e.name().to_string())
+            .collect();
+        TransientResult {
+            times: self.state.times,
+            samples: self.state.samples,
+            n_node_unknowns: self.mna.node_unknowns(),
+            branch_names,
+            stats,
+        }
+    }
+
+    /// Steps until the time reaches `until`, which is `tstop` or one of
+    /// the breakpoints: steps land on breakpoints exactly, so the loop
+    /// stops at `until` itself.
+    fn run_until(&mut self, until: f64, options: &SimOptions) -> Result<(), EngineError> {
+        let Self {
+            circuit,
+            mna,
+            kernel,
+            mos_refs,
+            breakpoints,
+            next_bp,
+            tstop,
+            max_step,
+            companions,
+            state: s,
+            ..
+        } = self;
+        let (tstop, max_step) = (*tstop, *max_step);
+        let temp_k = options.temperature.as_kelvin();
+
+        while s.t < until - 1e-21 {
+            // Refresh Meyer capacitances at the last accepted solution.
+            for m in mos_refs.iter() {
+                if let Element::Mosfet {
+                    drain,
+                    gate,
+                    source,
+                    bulk,
+                    model,
+                    geom,
+                    ..
+                } = &circuit.elements()[m.elem_idx]
+                {
+                    let vg = mna.voltage(&s.x, *gate);
+                    let vd = mna.voltage(&s.x, *drain);
+                    let vs = mna.voltage(&s.x, *source);
+                    let vb = mna.voltage(&s.x, *bulk);
+                    let mc = kernel.eval_caps(
+                        m.elem_idx,
+                        model,
+                        geom,
+                        MosBias::new(vg, vd, vs, vb),
+                        temp_k,
+                        options.bypass_vtol,
+                    );
+                    let values = [mc.cgs, mc.cgd, mc.cgb, mc.cdb, mc.csb];
+                    for (slot, val) in m.slots.iter().zip(values) {
+                        s.caps[*slot].c = val;
+                    }
+                }
+            }
+
+            // Clamp the step to the next breakpoint.
+            let next = loop {
+                match breakpoints.get(*next_bp) {
+                    Some(&bp) if bp <= s.t + 1e-21 => *next_bp += 1,
+                    Some(&bp) => break Some(bp),
+                    None => break None,
+                }
+            };
+            let mut h_now = s.h.min(max_step).min(tstop - s.t);
+            let mut lands_on_bp = false;
+            if let Some(bp) = next {
+                if s.t + h_now >= bp - 1e-21 {
+                    h_now = bp - s.t;
+                    lands_on_bp = true;
+                }
+            }
+
+            // Inner attempt loop: shrink h_now on Newton failure or huge LTE.
+            let accepted = loop {
+                if h_now < options.min_step {
+                    return Err(EngineError::StepUnderflow { time: s.t });
+                }
+                // Deterministic timeout: every attempt (accepted or
+                // rejected) draws from the step budget.
+                s.step_attempts += 1;
+                if let Some(budget) = options.step_budget {
+                    if s.step_attempts > budget {
+                        return Err(EngineError::BudgetExhausted {
+                            context: format!("transient stepping at t = {:.3e} s", s.t),
+                            spent: s.step_attempts,
+                            budget,
+                        });
+                    }
+                }
+                // θ-damped trapezoid; backward Euler (θ = 1) right after
+                // breakpoints/failures and when cruising on a plateau.
+                let theta = if s.use_trap && h_now < 0.99 * max_step {
+                    THETA
+                } else {
+                    1.0
+                };
+                // Build companion models (full-length, zero-cap slots are
+                // placeholders so state updates stay index-aligned).
+                companions.clear();
+                for cap in &s.caps {
+                    if cap.c <= 0.0 {
+                        companions.push(CompanionCap {
+                            a: cap.a,
+                            b: cap.b,
+                            geq: 0.0,
+                            ieq: 0.0,
+                        });
+                        continue;
+                    }
+                    let geq = cap.c / (theta * h_now);
+                    let ieq = geq * cap.v_prev + (1.0 - theta) / theta * cap.i_prev;
+                    companions.push(CompanionCap {
+                        a: cap.a,
+                        b: cap.b,
+                        geq,
+                        ieq,
+                    });
+                }
+                // A landing step ends on the breakpoint itself, so the
+                // sources are never evaluated past it.
+                let t_new = match next {
+                    Some(bp) if lands_on_bp => bp,
+                    _ => s.t + h_now,
+                };
+                let ctx = StampCtx {
+                    time: t_new,
+                    source_scale: 1.0,
+                    gmin: options.gmin,
+                    temp_k,
+                    reactive: Some(companions),
+                };
+                match kernel.solve(&s.x, &ctx, options, &mut s.faults) {
+                    Ok((x_new, _iters)) => {
+                        if s.faults.fire_lte() {
+                            // Injected LTE rejection: discard the converged
+                            // solution and quarter the step, exactly as a
+                            // real predictor disagreement below would.
+                            h_now /= 4.0;
+                            lands_on_bp = false;
+                            continue;
+                        }
+                        // Predictor for LTE: linear extrapolation through the
+                        // two previous points (zero-order on the first step).
+                        let nvu = mna.node_unknowns();
+                        let mut err_ratio = 0.0f64;
+                        for i in 0..nvu {
+                            let pred = match &s.x_prevprev {
+                                Some((xp, hp)) if *hp > 0.0 => {
+                                    s.x[i] + (s.x[i] - xp[i]) * (h_now / hp)
+                                }
+                                _ => s.x[i],
+                            };
+                            let tol = options.lte_tol + options.reltol * x_new[i].abs();
+                            err_ratio = err_ratio.max((x_new[i] - pred).abs() / tol);
+                        }
+                        // Reject wildly inaccurate steps (unless pinned to a
+                        // breakpoint edge at minimum size already).
+                        if err_ratio > 16.0 && h_now > options.min_step * 64.0 {
+                            h_now /= 4.0;
+                            lands_on_bp = false;
+                            continue;
+                        }
+                        break (x_new, err_ratio, t_new);
+                    }
+                    Err(_) => {
+                        h_now /= 8.0;
+                        lands_on_bp = false;
+                        s.use_trap = false; // BE is more robust
+                        continue;
+                    }
+                }
+            };
+            let (x_new, err_ratio, t_new) = accepted;
+
+            // Update dynamic-branch state via the companion identity
+            // i_new = geq·v_new − ieq.
+            for (cap, comp) in s.caps.iter_mut().zip(companions.iter()) {
+                let v_new = volt_of(&x_new, cap.a) - volt_of(&x_new, cap.b);
+                if cap.c > 0.0 {
+                    cap.i_prev = comp.geq * v_new - comp.ieq;
+                }
+                cap.v_prev = v_new;
+            }
+
+            s.t = t_new;
+            s.x_prevprev = Some((std::mem::replace(&mut s.x, x_new), h_now));
+            s.times.push(s.t);
+            s.samples.push(s.x.clone());
+
+            // Step-size controller.
+            let grow = (1.0 / (err_ratio + 0.05)).sqrt().clamp(0.3, 2.0);
+            s.h = (h_now * grow).min(max_step);
+            if lands_on_bp {
+                // Restart conservatively after an input corner.
+                s.h = options.initial_step.min(max_step);
+                s.use_trap = false;
+                s.x_prevprev = None;
+            } else {
+                s.use_trap = true;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use crate::NodeId;
 /// MNA system; everything it needs (values, model cards, geometry) is
 /// stored inline so a `Circuit` is self-contained and cheaply cloneable
 /// for Monte Carlo perturbation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Element {
     /// Linear resistor between `a` and `b`.
     Resistor {

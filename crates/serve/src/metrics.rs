@@ -14,7 +14,9 @@ use vls_charlib::{json, SurrogateCounters};
 
 /// Every failure class a `/query` can degrade to, in the order the
 /// `/metrics` document lists them. The first five mirror
-/// `vls_engine::EngineError::failure_class`; the next three are the
+/// `vls_engine::EngineError::failure_class` (its `bad_fork` marks a
+/// misuse of the forked transient that the characterization protocol
+/// never makes, so it counts as `internal`); the next three are the
 /// deterministic measurement-protocol failures from `vls-core`;
 /// `internal` is the catch-all for states that should be unreachable.
 pub const FAILURE_CLASSES: [&str; 9] = [

@@ -167,6 +167,24 @@ cargo run -q --release -p vls-bench --bin opt_convergence -- --smoke
 echo "==> solve_scale --smoke (release, chip + mesh speedup floors enforced)"
 cargo run -q --release -p vls-bench --bin solve_scale -- --smoke
 
+# The benchmark leg: perfbench's own tests, then one reference-checked
+# pass of every workload at seed 0. The result line must read
+# "failed": 0, so a reference that drifts fails here, not first in a
+# benchmark run.
+echo "==> perfbench tests (release)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench reference pass (seed 0, every workload)"
+for WORKLOAD in mc_tables vdd_surface chip_tran; do
+    RESULT="$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$WORKLOAD" --seed 0 --seconds 1 --trace 0 | tail -n 1)"
+    echo "$WORKLOAD: $RESULT"
+    case "$RESULT" in
+        *'"correct": true'*'"failed": 0,'*) ;;
+        *) echo "perfbench $WORKLOAD failed its reference check" >&2; exit 1 ;;
+    esac
+done
+
 echo "==> cargo test --release"
 cargo test -q --release
 

@@ -4,7 +4,7 @@
 
 use sstvs::cells::{ShifterKind, VoltagePair};
 use sstvs::flows::experiments::{area, figures, robustness, tables};
-use sstvs::flows::{format_comparison_table, format_mc_table, CharacterizeOptions};
+use sstvs::flows::{characterize, format_comparison_table, format_mc_table, CharacterizeOptions};
 use sstvs::runner::RunnerOptions;
 
 #[test]
@@ -87,6 +87,39 @@ fn delay_surface_covers_the_grid_with_structure() {
     );
     let csv = s.to_csv();
     assert_eq!(csv.lines().count(), 10);
+}
+
+#[test]
+fn delay_surface_equals_the_full_protocol_bit_for_bit() {
+    // The surface runs only the stimulus part of the protocol; at every
+    // point its mask, rise and fall must be what the full
+    // characterization reports.
+    for celsius in [27.0, 90.0] {
+        let opts = CharacterizeOptions::at_celsius(celsius);
+        let s = figures::delay_surface(
+            &ShifterKind::sstvs(),
+            0.8,
+            1.4,
+            0.3,
+            &opts,
+            &RunnerOptions::default(),
+        );
+        for (i, &vi) in s.vddi.iter().enumerate() {
+            for (j, &vo) in s.vddo.iter().enumerate() {
+                let full = characterize(&ShifterKind::sstvs(), VoltagePair::new(vi, vo), &opts);
+                let (functional, rise, fall) = match full {
+                    Ok(m) if m.functional => {
+                        (true, m.delay_rise.as_picos(), m.delay_fall.as_picos())
+                    }
+                    _ => (false, f64::NAN, f64::NAN),
+                };
+                let at = format!("{celsius} °C, VDDI {vi} V, VDDO {vo} V");
+                assert_eq!(s.functional[i][j], functional, "{at}");
+                assert_eq!(s.rise_ps[i][j].to_bits(), rise.to_bits(), "{at}");
+                assert_eq!(s.fall_ps[i][j].to_bits(), fall.to_bits(), "{at}");
+            }
+        }
+    }
 }
 
 #[test]
