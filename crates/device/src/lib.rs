@@ -24,12 +24,12 @@
 //! assert!(i_nom > 5.0 * i_hvt, "high-VT must leak much less");
 //! ```
 
-mod bypass;
 mod mosfet;
 mod passive;
 mod source;
+mod stamp;
 
-pub use bypass::{BiasCache, MosBias, MosCapsCache, MosStamp, MosStampCache};
 pub use mosfet::{MosCaps, MosGeometry, MosModel, MosOp, MosPolarity};
 pub use passive::{Capacitor, Resistor};
 pub use source::SourceWaveform;
+pub use stamp::{MosBias, MosStamp};

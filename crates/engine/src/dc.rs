@@ -63,7 +63,7 @@ impl DcSolution {
 
     /// Work counters of the Newton solve(s) that produced this
     /// solution: iterations, linear solves, full factorizations and
-    /// refactorizations, device evaluations and bypasses.
+    /// refactorizations, device and capacitance evaluations.
     pub fn solver_stats(&self) -> SolverStats {
         self.stats
     }
@@ -130,10 +130,10 @@ fn check_budget(
 
 /// The DC homotopy ladder: warm → plain → gmin stepping → source
 /// stepping, every stage solved by the one `kernel`, so the symbolic
-/// pattern, LU storage, workspaces and bypass caches carry across the
-/// whole climb. The fault session covers the whole ladder: stage
-/// charges force attempts to fail, and the session is also handed to
-/// the kernel for its own (pivot, bypass) hooks.
+/// pattern, LU storage and workspaces carry across the whole climb.
+/// The fault session covers the whole ladder: stage charges force
+/// attempts to fail, and the session is also handed to the kernel for
+/// its pivot hook.
 fn run_ladder(
     kernel: &mut NewtonKernel<'_, '_>,
     options: &SimOptions,

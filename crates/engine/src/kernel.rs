@@ -19,11 +19,9 @@
 //! * **Reusable workspaces:** the iterate, right-hand side, solution
 //!   and delta vectors live in the kernel, so steady-state transient
 //!   stepping performs no per-iteration allocation.
-//! * **Device bypass (SPICE3 style):** with a positive
-//!   [`SimOptions::bypass_vtol`], each MOSFET's linearization is cached
-//!   and replayed while its terminal voltages stay within tolerance —
-//!   but a bypassed evaluation is never allowed to decide convergence:
-//!   the kernel always confirms with one full-evaluation iteration.
+//! * **Exact device evaluation:** every Newton iteration evaluates
+//!   every MOSFET at its current bias, so `device_evals` equals
+//!   MOSFETs × Newton iterations on every path.
 //!
 //! At or below [`SimOptions::sparse_threshold`] the kernel factors
 //! densely in natural order with partial pivoting, re-pivoting every
@@ -34,7 +32,7 @@
 //! bit for bit on a tridiagonal ladder whose minimum-degree order is
 //! the identity.
 
-use vls_device::{MosBias, MosCaps, MosCapsCache, MosGeometry, MosModel, MosStamp, MosStampCache};
+use vls_device::{MosBias, MosCaps, MosGeometry, MosModel, MosStamp};
 use vls_fault::FaultSession;
 use vls_num::{
     invert_permutation, is_identity, weighted_converged, CscMatrix, DenseLu, DenseMatrix, NumError,
@@ -160,12 +158,12 @@ impl FillOrder {
     }
 }
 
-/// A per-circuit Newton solver with one-time symbolic analysis,
-/// reusable numeric workspaces, and optional device bypass. Build it
-/// once per circuit (and per analysis kind — DC and transient stamp
-/// different patterns) and call [`NewtonKernel::solve`] as many times
-/// as needed; caches and factors persist across calls, which is where
-/// the speedup on homotopy ladders and transient stepping comes from.
+/// A per-circuit Newton solver with one-time symbolic analysis and
+/// reusable numeric workspaces. Build it once per circuit (and per
+/// analysis kind — DC and transient stamp different patterns) and call
+/// [`NewtonKernel::solve`] as many times as needed; the pattern and
+/// factors persist across calls, which is where the speedup on
+/// homotopy ladders and transient stepping comes from.
 pub(crate) struct NewtonKernel<'m, 'c> {
     mna: &'m Mna<'c>,
     path: LinearPath,
@@ -178,10 +176,6 @@ pub(crate) struct NewtonKernel<'m, 'c> {
     x_new: Vec<f64>,
     /// Damped-update workspace for the convergence test.
     delta: Vec<f64>,
-    /// Per-element MOSFET linearization caches (indexed by element).
-    stamp_caches: Vec<MosStampCache>,
-    /// Per-element Meyer capacitance caches (indexed by element).
-    cap_caches: Vec<MosCapsCache>,
     stats: SolverStats,
 }
 
@@ -211,7 +205,7 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                 temp_k: options.temperature.as_kelvin(),
                 reactive: reactive_probe,
             };
-            mna.assemble_with_eval(&x0, &mut t, &mut b, &probe_ctx, &mut |_, _, _, _| {
+            mna.assemble_with_eval(&x0, &mut t, &mut b, &probe_ctx, &mut |_, _, _| {
                 MosStamp::default()
             });
             let (pattern, map, perm) = t.compile_ordered();
@@ -233,7 +227,6 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                 lu: DenseLu::empty(),
             }
         };
-        let n_elems = mna.element_count();
         Self {
             mna,
             path,
@@ -241,8 +234,6 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
             x: Vec::with_capacity(n),
             x_new: vec![0.0; n],
             delta: vec![0.0; n],
-            stamp_caches: vec![MosStampCache::new(); n_elems],
-            cap_caches: vec![MosCapsCache::new(); n_elems],
             stats: SolverStats::default(),
         }
     }
@@ -252,9 +243,9 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
         self.stats
     }
 
-    /// This kernel's numeric state — compiled pattern, factors, pivot
-    /// order and bypass caches — bound to `mna`, a circuit whose stamp
-    /// sequence is the same, with zeroed counters. Solving on the copy
+    /// This kernel's numeric state — compiled pattern, factors and
+    /// pivot order — bound to `mna`, a circuit whose stamp sequence is
+    /// the same, with zeroed counters. Solving on the copy
     /// is bit-identical to solving on this kernel.
     pub fn fork<'m2, 'c2>(&self, mna: &'m2 Mna<'c2>) -> NewtonKernel<'m2, 'c2> {
         NewtonKernel {
@@ -264,34 +255,20 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
             x: self.x.clone(),
             x_new: self.x_new.clone(),
             delta: self.delta.clone(),
-            stamp_caches: self.stamp_caches.clone(),
-            cap_caches: self.cap_caches.clone(),
             stats: SolverStats::default(),
         }
     }
 
-    /// Meyer capacitance evaluation through the bypass cache (the
-    /// transient loop's analogue of device bypass). `bypass_tol ≤ 0`
-    /// always evaluates.
+    /// One counted Meyer capacitance evaluation.
     pub fn eval_caps(
         &mut self,
-        elem_idx: usize,
         model: &MosModel,
         geom: &MosGeometry,
         bias: MosBias,
         temp_k: f64,
-        bypass_tol: f64,
     ) -> MosCaps {
-        if let Some(c) = self.cap_caches[elem_idx].lookup(&bias, bypass_tol) {
-            self.stats.cap_bypasses += 1;
-            return c;
-        }
-        let c = model.caps(geom, bias.vg, bias.vd, bias.vs, bias.vb, temp_k);
-        if bypass_tol > 0.0 {
-            self.cap_caches[elem_idx].store(bias, c);
-        }
         self.stats.cap_evals += 1;
-        c
+        model.caps(geom, bias.vg, bias.vd, bias.vs, bias.vb, temp_k)
     }
 
     /// One Newton solve from `x0` under `ctx`: damped updates, the
@@ -324,17 +301,6 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
         debug_assert_eq!(x0.len(), n);
         self.x.clear();
         self.x.extend_from_slice(x0);
-        let bypass_tol = options.bypass_vtol.max(0.0);
-        let mut allow_bypass = bypass_tol > 0.0;
-        if bypass_tol > 0.0 && faults.fire_bypass() {
-            // Plant a garbage linearization (an all-zero stamp tagged at
-            // the zero bias) in every device cache, armed to hit once
-            // regardless of how far the solver is from that bias. The
-            // confirm-iteration rule below is what must absorb it.
-            for cache in &mut self.stamp_caches {
-                cache.poison(MosBias::default(), MosStamp::default());
-            }
-        }
 
         for iter in 1..=options.max_newton_iters {
             self.stats.newton_iters += 1;
@@ -344,30 +310,16 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                 b,
                 x,
                 x_new,
-                stamp_caches,
                 stats,
                 ..
             } = self;
             b.fill(0.0);
-            let mut bypassed = false;
             let temp_k = ctx.temp_k;
-            let mut eval =
-                |elem_idx: usize, model: &MosModel, geom: &MosGeometry, bias: MosBias| {
-                    if allow_bypass {
-                        if let Some(s) = stamp_caches[elem_idx].lookup(&bias, bypass_tol) {
-                            stats.device_bypasses += 1;
-                            bypassed = true;
-                            return s;
-                        }
-                    }
-                    let op = model.op(geom, bias.vg, bias.vd, bias.vs, bias.vb, temp_k);
-                    let s = MosStamp::from_op(&op, &bias);
-                    if bypass_tol > 0.0 {
-                        stamp_caches[elem_idx].store(bias, s);
-                    }
-                    stats.device_evals += 1;
-                    s
-                };
+            let mut eval = |model: &MosModel, geom: &MosGeometry, bias: MosBias| {
+                stats.device_evals += 1;
+                let op = model.op(geom, bias.vg, bias.vd, bias.vs, bias.vb, temp_k);
+                MosStamp::from_op(&op, &bias)
+            };
             match path {
                 LinearPath::Dense { a, lu } => {
                     a.clear();
@@ -443,7 +395,6 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                 x[i] += d;
             }
             if clamped {
-                allow_bypass = bypass_tol > 0.0;
                 continue;
             }
             let (dv, di) = delta.split_at(nvu);
@@ -451,16 +402,8 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
             if weighted_converged(dv, xv, options.vabstol, options.reltol)
                 && weighted_converged(di, xi, options.iabstol, options.reltol)
             {
-                if bypassed {
-                    // A bypassed evaluation must never decide
-                    // convergence: confirm with one full-evaluation
-                    // iteration before accepting.
-                    allow_bypass = false;
-                    continue;
-                }
                 return Ok(iter);
             }
-            allow_bypass = bypass_tol > 0.0;
         }
         Err(NewtonFailure::NoConvergence)
     }
@@ -501,7 +444,7 @@ mod tests {
                 temp_k: options.temperature.as_kelvin(),
                 reactive: None,
             };
-            mna.assemble_with_eval(&vec![0.0; n], &mut t, &mut b, &ctx, &mut |_, _, _, _| {
+            mna.assemble_with_eval(&vec![0.0; n], &mut t, &mut b, &ctx, &mut |_, _, _| {
                 MosStamp::default()
             });
             let (natural, natural_map) = t.compile();

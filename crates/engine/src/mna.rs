@@ -116,12 +116,6 @@ impl<'c> Mna<'c> {
         self.n_node_unknowns
     }
 
-    /// The number of circuit elements (the Newton kernel sizes its
-    /// per-element bypass caches from this).
-    pub fn element_count(&self) -> usize {
-        self.branch_of.len()
-    }
-
     /// The human name of unknown `i`: the circuit node name for voltage
     /// unknowns, `I(<element>)` for branch-current unknowns. This is
     /// what singular-matrix diagnostics print instead of a bare index.
@@ -156,18 +150,17 @@ impl<'c> Mna<'c> {
     /// every MOSFET directly.
     pub fn assemble<M: MatrixSink>(&self, x: &[f64], a: &mut M, b: &mut [f64], ctx: &StampCtx) {
         let temp_k = ctx.temp_k;
-        self.assemble_with_eval(x, a, b, ctx, &mut |_, model, geom, bias| {
+        self.assemble_with_eval(x, a, b, ctx, &mut |model, geom, bias| {
             let op = model.op(geom, bias.vg, bias.vd, bias.vs, bias.vb, temp_k);
             MosStamp::from_op(&op, &bias)
         });
     }
 
     /// [`Mna::assemble`] with the MOSFET evaluation factored out: `eval`
-    /// receives `(element index, model, geometry, bias)` and returns the
-    /// stamp values. This is the hook the Newton kernel uses for
-    /// SPICE3-style device bypass — the caller decides per device
-    /// whether to evaluate the model or replay a cached linearization.
-    /// The stamp *positions* are independent of `eval`.
+    /// receives `(model, geometry, bias)` and returns the stamp values.
+    /// The Newton kernel counts its device evaluations through this
+    /// hook, and its symbolic probe passes a dummy evaluator. The stamp
+    /// *positions* are independent of `eval`.
     pub fn assemble_with_eval<M, F>(
         &self,
         x: &[f64],
@@ -177,7 +170,7 @@ impl<'c> Mna<'c> {
         eval: &mut F,
     ) where
         M: MatrixSink,
-        F: FnMut(usize, &MosModel, &MosGeometry, MosBias) -> MosStamp,
+        F: FnMut(&MosModel, &MosGeometry, MosBias) -> MosStamp,
     {
         debug_assert_eq!(x.len(), self.n_unknowns);
         debug_assert_eq!(b.len(), self.n_unknowns);
@@ -260,7 +253,7 @@ impl<'c> Mna<'c> {
                         self.voltage(x, *source),
                         self.voltage(x, *bulk),
                     );
-                    let s = eval(elem_idx, model, geom, bias);
+                    let s = eval(model, geom, bias);
                     // Drain row: current I_D leaves the drain node into
                     // the channel.
                     if let Some(rd) = nd {

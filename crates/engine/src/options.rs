@@ -45,13 +45,6 @@ pub struct SimOptions {
     /// fraction of the column maximum. Also the pivot-health threshold
     /// guarding numeric-only refactorization. SPICE's classic value.
     pub sparse_pivot_tol: f64,
-    /// Device-bypass voltage tolerance, V: a MOSFET (or its Meyer
-    /// capacitances) is not re-evaluated while every terminal voltage
-    /// stays within this of the cached evaluation. `0.0` (the default)
-    /// disables bypassing, so every Newton iteration evaluates every
-    /// device exactly; small positive values (≈1e-6) trade exactness
-    /// within `reltol` for large speedups on waveform plateaus.
-    pub bypass_vtol: f64,
     /// Static electrical-rule checking to run before any analysis.
     /// `Off` (the default) keeps only the structural `validate()`
     /// pass; `Connectivity`/`Full` run `vls-check` and refuse to
@@ -91,7 +84,6 @@ impl Default for SimOptions {
             lte_tol: 1e-3,
             sparse_threshold: 64,
             sparse_pivot_tol: 1e-3,
-            bypass_vtol: 0.0,
             check: CheckLevel::Off,
             fault: FaultPlan::none(),
             newton_budget: None,
@@ -117,8 +109,7 @@ impl SimOptions {
     ///
     /// * rung 0 — these options unchanged (the base attempt);
     /// * rung 1 — gmin floor raised 100× (stiffer regularization pulls
-    ///   floating/bistable nodes toward convergence) and device bypass
-    ///   off (no cached linearizations);
+    ///   floating/bistable nodes toward convergence);
     /// * rung 2+ — additionally quarters the maximum and initial
     ///   transient steps (brute-force LTE headroom).
     ///
@@ -133,7 +124,6 @@ impl SimOptions {
         }
         o.fault = FaultPlan::none();
         o.gmin = self.gmin * 100.0;
-        o.bypass_vtol = 0.0;
         if rung >= 2 {
             o.max_step = self.max_step.map(|s| s / 4.0);
             o.initial_step = self.initial_step / 4.0;
@@ -153,8 +143,6 @@ mod tests {
         assert_eq!(o.gmin, 1e-12);
         assert_eq!(o.temperature, Temperature::ROOM);
         assert_eq!(o.sparse_pivot_tol, 1e-3);
-        // Bypass must default OFF so the kernel is exact by default.
-        assert_eq!(o.bypass_vtol, 0.0);
         // Fault injection and budgets must default inert/unlimited.
         assert!(o.fault.is_empty());
         assert_eq!(o.newton_budget, None);
@@ -171,18 +159,15 @@ mod tests {
             ..SimOptions::default()
         };
         base.fault = FaultPlan::parse("pivot").unwrap();
-        base.bypass_vtol = 1e-6;
         assert_eq!(base.escalated(0), base, "rung 0 is the base attempt");
         let r1 = base.escalated(1);
         assert!(r1.fault.is_empty(), "retries run clean");
         assert_eq!(r1.gmin, base.gmin * 100.0);
-        assert_eq!(r1.bypass_vtol, 0.0, "rung 1 disables bypass");
         assert_eq!(r1.max_step, base.max_step);
         assert_eq!(r1.initial_step, base.initial_step);
         let r2 = base.escalated(2);
         assert!(r2.fault.is_empty());
         assert_eq!(r2.gmin, base.gmin * 100.0);
-        assert_eq!(r2.bypass_vtol, 0.0);
         assert_eq!(r2.max_step, Some(1e-11 / 4.0));
         assert_eq!(r2.initial_step, base.initial_step / 4.0);
         // The ladder has two rungs: every rung past the last repeats it.

@@ -510,8 +510,8 @@ impl<'m, 'c> Stepper<'m, 'c> {
         // One Newton kernel for the whole run: the transient stamp
         // pattern (including every companion branch — zero-cap slots
         // are stamped as placeholders, so the pattern never changes
-        // between steps) is analyzed once, and the LU storage,
-        // workspaces and bypass caches persist across all time steps.
+        // between steps) is analyzed once, and the LU storage and
+        // workspaces persist across all time steps.
         let probe: Vec<CompanionCap> = caps
             .iter()
             .map(|cap| CompanionCap {
@@ -635,14 +635,7 @@ impl<'m, 'c> Stepper<'m, 'c> {
                     let vd = mna.voltage(&s.x, *drain);
                     let vs = mna.voltage(&s.x, *source);
                     let vb = mna.voltage(&s.x, *bulk);
-                    let mc = kernel.eval_caps(
-                        m.elem_idx,
-                        model,
-                        geom,
-                        MosBias::new(vg, vd, vs, vb),
-                        temp_k,
-                        options.bypass_vtol,
-                    );
+                    let mc = kernel.eval_caps(model, geom, MosBias::new(vg, vd, vs, vb), temp_k);
                     let values = [mc.cgs, mc.cgd, mc.cgb, mc.cdb, mc.csb];
                     for (slot, val) in m.slots.iter().zip(values) {
                         s.caps[*slot].c = val;

@@ -4,9 +4,9 @@
 //! full `VDDI × VDDO` sweeps where a single non-convergent trial can
 //! silently poison a table or abort a shard. The failure paths that
 //! protect against that — homotopy escalation, pivot-health fallback,
-//! LTE step rejection, bypass-confirm iterations, retry ladders — are
-//! exactly the paths ordinary workloads almost never exercise. This
-//! crate makes them drivable on demand:
+//! LTE step rejection, retry ladders — are exactly the paths ordinary
+//! workloads almost never exercise. This crate makes them drivable on
+//! demand:
 //!
 //! * a [`FaultPlan`] is plain data describing *which* hooks fire and
 //!   *for which trials* (a seed predicate `seed % every == offset`,
@@ -98,13 +98,6 @@ pub enum FaultSite {
     /// stepper: the accepted-looking step is rejected and the step
     /// size quartered, as if the predictor had disagreed wildly.
     LteStorm,
-    /// Poison every device-bypass cache with a garbage linearization
-    /// that hits once regardless of bias — the confirm-iteration
-    /// guarantee must absorb it.
-    BypassPoison,
-    /// Apply eviction pressure to warm-start operating-point caches
-    /// (effective capacity one), forcing the cold path.
-    CacheEvict,
 }
 
 impl FaultSite {
@@ -114,8 +107,6 @@ impl FaultSite {
             FaultSite::Newton(stage) => format!("newton@{}", stage.token()),
             FaultSite::PivotHealth => "pivot".into(),
             FaultSite::LteStorm => "lte".into(),
-            FaultSite::BypassPoison => "bypass".into(),
-            FaultSite::CacheEvict => "evict".into(),
         }
     }
 
@@ -126,10 +117,8 @@ impl FaultSite {
         match s {
             "pivot" => Ok(FaultSite::PivotHealth),
             "lte" => Ok(FaultSite::LteStorm),
-            "bypass" => Ok(FaultSite::BypassPoison),
-            "evict" => Ok(FaultSite::CacheEvict),
             other => Err(format!(
-                "unknown fault site `{other}` (newton@<stage>|pivot|lte|bypass|evict)"
+                "unknown fault site `{other}` (newton@<stage>|pivot|lte)"
             )),
         }
     }
@@ -245,8 +234,8 @@ impl FaultPlan {
 
     /// Parses the compact plan string: comma-separated specs, each
     /// `site[:count=N][:every=M:offset=K]`. Sites are
-    /// `newton@warm|plain|gmin|source`, `pivot`, `lte`, `bypass`,
-    /// `evict`. An empty string is the inert plan.
+    /// `newton@warm|plain|gmin|source`, `pivot`, `lte`. An empty string
+    /// is the inert plan.
     ///
     /// # Errors
     ///
@@ -313,8 +302,6 @@ pub struct FaultSession {
     newton: [u32; 4],
     pivot: u32,
     lte: u32,
-    bypass: u32,
-    evict: u32,
     fired: u64,
 }
 
@@ -332,8 +319,6 @@ impl FaultSession {
                 FaultSite::Newton(stage) => &mut s.newton[stage.index()],
                 FaultSite::PivotHealth => &mut s.pivot,
                 FaultSite::LteStorm => &mut s.lte,
-                FaultSite::BypassPoison => &mut s.bypass,
-                FaultSite::CacheEvict => &mut s.evict,
             };
             *slot = slot.saturating_add(spec.count);
         }
@@ -368,18 +353,6 @@ impl FaultSession {
         Self::take(lte, fired)
     }
 
-    /// Consume a bypass-cache-poisoning charge.
-    pub fn fire_bypass(&mut self) -> bool {
-        let Self { bypass, fired, .. } = self;
-        Self::take(bypass, fired)
-    }
-
-    /// Whether eviction pressure is armed (a query, not a consuming
-    /// fire — pressure is a mode, not an event).
-    pub fn evict_pressure(&self) -> bool {
-        self.evict > 0
-    }
-
     /// Total injections fired so far — folded into
     /// `SolverStats::injected_faults` by the engine.
     pub fn fired(&self) -> u64 {
@@ -393,14 +366,29 @@ mod tests {
 
     #[test]
     fn plan_parses_and_round_trips() {
-        let text = "newton@gmin:count=2,pivot,lte:count=3:every=16:offset=5,bypass,evict";
+        let text = "newton@gmin:count=2,pivot,lte:count=3:every=16:offset=5,newton@source";
         let plan = FaultPlan::parse(text).unwrap();
-        assert_eq!(plan.specs().len(), 5);
+        assert_eq!(plan.specs().len(), 4);
         assert_eq!(plan.render(), text);
         assert_eq!(FaultPlan::parse(&plan.render()).unwrap(), plan);
         assert_eq!(plan.specs()[0].site, FaultSite::Newton(LadderStage::Gmin));
         assert_eq!(plan.specs()[0].count, 2);
         assert_eq!(plan.specs()[2].every, 16);
+        assert_eq!(plan.specs()[3].site, FaultSite::Newton(LadderStage::Source));
+    }
+
+    #[test]
+    fn removed_sites_are_rejected_not_ignored() {
+        // A site with no hook behind it must fail the parse loudly
+        // instead of arming a plan that injects nothing.
+        for text in ["bypass", "evict", "pivot,bypass", "bypass,evict"] {
+            let err = FaultPlan::parse(text).unwrap_err();
+            assert!(
+                err.starts_with("unknown fault site")
+                    && err.ends_with("(newton@<stage>|pivot|lte)"),
+                "{text}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -431,7 +419,7 @@ mod tests {
 
     #[test]
     fn session_charges_are_consumed_exactly() {
-        let plan = FaultPlan::parse("newton@plain:count=2,pivot,bypass,evict").unwrap();
+        let plan = FaultPlan::parse("newton@plain:count=2,pivot,lte:count=2").unwrap();
         let mut s = FaultSession::new(&plan);
         assert!(s.fire_newton(LadderStage::Plain));
         assert!(s.fire_newton(LadderStage::Plain));
@@ -439,11 +427,10 @@ mod tests {
         assert!(!s.fire_newton(LadderStage::Warm), "other stages cold");
         assert!(s.fire_pivot());
         assert!(!s.fire_pivot());
-        assert!(s.fire_bypass());
+        assert!(s.fire_lte());
+        assert!(s.fire_lte());
         assert!(!s.fire_lte());
-        assert!(s.evict_pressure());
-        assert!(s.evict_pressure(), "pressure is a mode, not consumed");
-        assert_eq!(s.fired(), 4);
+        assert_eq!(s.fired(), 5);
     }
 
     #[test]
@@ -452,8 +439,7 @@ mod tests {
         for stage in LadderStage::ALL {
             assert!(!s.fire_newton(stage));
         }
-        assert!(!s.fire_pivot() && !s.fire_lte() && !s.fire_bypass());
-        assert!(!s.evict_pressure());
+        assert!(!s.fire_pivot() && !s.fire_lte());
         assert_eq!(s.fired(), 0);
         assert_eq!(FaultSession::inert().fired(), 0);
     }

@@ -1,9 +1,9 @@
 //! Solver instrumentation counters.
 //!
-//! The Newton kernel counts what it actually did — device evaluations
-//! versus bypass hits, full pivoting factorizations versus numeric-only
-//! refactorizations — so every speedup claim in the bench binaries is
-//! backed by observable work reduction, not just wall time.
+//! The Newton kernel counts what it actually did — device and Meyer
+//! capacitance evaluations, full pivoting factorizations versus
+//! numeric-only refactorizations — so every speedup claim in the bench
+//! binaries is backed by observable work reduction, not just wall time.
 
 /// Counters accumulated by one solve (a DC operating point or a whole
 /// transient), mergeable across runs for ensemble-level reporting.
@@ -22,15 +22,12 @@ pub struct SolverStats {
     /// Refactorizations whose pivot-health check failed, forcing a
     /// fall back to a full re-pivoting factorization.
     pub refactor_fallbacks: u64,
-    /// MOSFET operating-point evaluations actually performed.
+    /// MOSFET operating-point evaluations: one per MOSFET per Newton
+    /// iteration.
     pub device_evals: u64,
-    /// MOSFET evaluations skipped because every terminal voltage was
-    /// within the bypass tolerance of the cached evaluation.
-    pub device_bypasses: u64,
-    /// Meyer capacitance evaluations actually performed.
+    /// Meyer capacitance evaluations: one per MOSFET per transient
+    /// step attempt.
     pub cap_evals: u64,
-    /// Meyer capacitance evaluations served from the bypass cache.
-    pub cap_bypasses: u64,
     /// Faults injected into this solve by an armed fault plan. Zero in
     /// every production run; a nonzero value marks the counters above
     /// as describing a deliberately perturbed trajectory.
@@ -47,9 +44,7 @@ impl SolverStats {
         self.refactorizations += other.refactorizations;
         self.refactor_fallbacks += other.refactor_fallbacks;
         self.device_evals += other.device_evals;
-        self.device_bypasses += other.device_bypasses;
         self.cap_evals += other.cap_evals;
-        self.cap_bypasses += other.cap_bypasses;
         self.injected_faults += other.injected_faults;
     }
 
@@ -59,15 +54,13 @@ impl SolverStats {
         *self == SolverStats::default()
     }
 
-    /// Fraction of MOSFET evaluation requests served by the bypass
-    /// cache, in `[0, 1]`. Zero when nothing was requested.
+    /// Always `0.0`: the engine evaluates every device on every Newton
+    /// iteration (device bypass was measured and removed, see
+    /// EXPERIMENTS.md). Kept only because the benchmark's
+    /// `device.bypass_share` metric reads it; drop both together in the
+    /// next change to the benchmark.
     pub fn bypass_rate(&self) -> f64 {
-        let total = self.device_evals + self.device_bypasses;
-        if total == 0 {
-            0.0
-        } else {
-            self.device_bypasses as f64 / total as f64
-        }
+        0.0
     }
 
     /// Fraction of sparse factorizations served by numeric-only
@@ -85,17 +78,14 @@ impl SolverStats {
     pub fn render(&self) -> String {
         let mut line = format!(
             "newton {} iters, {} solves; factorizations {} full / {} refactor ({} fallback); \
-             device evals {} ({} bypassed, {:.1}%); cap evals {} ({} bypassed)",
+             device evals {}; cap evals {}",
             self.newton_iters,
             self.linear_solves,
             self.full_factorizations,
             self.refactorizations,
             self.refactor_fallbacks,
             self.device_evals,
-            self.device_bypasses,
-            100.0 * self.bypass_rate(),
             self.cap_evals,
-            self.cap_bypasses,
         );
         if self.injected_faults > 0 {
             line.push_str(&format!("; {} injected faults", self.injected_faults));
@@ -117,16 +107,14 @@ mod tests {
             refactorizations: 4,
             refactor_fallbacks: 5,
             device_evals: 6,
-            device_bypasses: 7,
-            cap_evals: 8,
-            cap_bypasses: 9,
-            injected_faults: 10,
+            cap_evals: 7,
+            injected_faults: 8,
         };
         a.merge(&a.clone());
         assert_eq!(a.newton_iters, 2);
-        assert_eq!(a.cap_bypasses, 18);
-        assert_eq!(a.injected_faults, 20);
-        assert!(a.render().contains("20 injected faults"));
+        assert_eq!(a.cap_evals, 14);
+        assert_eq!(a.injected_faults, 16);
+        assert!(a.render().contains("16 injected faults"));
         assert!(!a.is_empty());
         assert!(SolverStats::default().is_empty());
     }
@@ -137,14 +125,13 @@ mod tests {
         assert_eq!(s.bypass_rate(), 0.0);
         assert_eq!(s.refactor_rate(), 0.0);
         let t = SolverStats {
-            device_evals: 1,
-            device_bypasses: 3,
+            device_evals: 3,
             full_factorizations: 1,
             refactorizations: 1,
             ..SolverStats::default()
         };
-        assert!((t.bypass_rate() - 0.75).abs() < 1e-15);
+        assert_eq!(t.bypass_rate(), 0.0);
         assert!((t.refactor_rate() - 0.5).abs() < 1e-15);
-        assert!(t.render().contains("75.0%"));
+        assert!(t.render().contains("device evals 3; cap evals 0"));
     }
 }

@@ -96,7 +96,7 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     /// Two escalated retries — enough to walk the full standard
-    /// ladder (tighter gmin with bypass off → smaller steps).
+    /// ladder (tighter gmin → smaller steps).
     fn default() -> Self {
         Self { max_retries: 2 }
     }

@@ -19,17 +19,13 @@
 //!   (`eval(job, rung)`), runs that exhaust every rung are captured as
 //!   [`TrialFailure`]s, and the report gains a machine-readable
 //!   [`FailureTaxonomyEntry`] per exhausted trial — partial results
-//!   instead of an aborted run;
-//! * [`OpCache`] — a small LRU of solved DC operating points keyed by
-//!   quantized `(VDDI, VDDO, temp)`, the warm-start store for sweep
-//!   shards (kept shard-local so results stay independent of the
-//!   thread schedule).
+//!   instead of an aborted run.
 //!
 //! Determinism contract: a job's output may depend only on its index
 //! (and derived seed), never on which worker ran it or on what else
 //! ran concurrently. Everything in this crate preserves that property;
-//! warm-start state is therefore scoped to a work item, not shared
-//! across the queue.
+//! any warm-start state a caller keeps must therefore be scoped to a
+//! work item, not shared across the queue.
 //!
 //! # Example
 //!
@@ -53,12 +49,10 @@
 //! assert_eq!(ensemble.successes(), serial.successes());
 //! ```
 
-mod cache;
 mod ensemble;
 mod queue;
 mod seed;
 
-pub use cache::{OpCache, OpKey};
 pub use ensemble::{
     run_ensemble, run_ensemble_resilient, Ensemble, Job, JobOutcome, ResilientEnsemble,
     RetryPolicy, TrialFailure, TrialSuccess,

@@ -49,7 +49,9 @@ VLS_JOBS=1 cargo test -q --test charlib_surrogate --test charlib_golden --test c
 # perturbations) must hold serially as it did at default parallelism
 # in the workspace suite, then a release-mode smoke soak drives the
 # CLI with a fault plan armed — the base attempt must fail with a
-# replay line, and the retry ladder must recover the same deck.
+# replay line, and the retry ladder must recover the same deck. A plan
+# naming a site that does not exist must be a usage error (exit 2), not
+# a run that silently injects nothing.
 echo "==> cargo test (fault soak, VLS_JOBS=1)"
 VLS_JOBS=1 cargo test -q --test fault_soak
 
@@ -77,6 +79,15 @@ grep -q "replay:" "$CHARLIB_TMP/fault_err.txt"
 cargo run -q --release -p vls-cli --bin vls-spice -- \
     "$FAULT_DECK" --fault-plan "$FAULT_PLAN" --seed 0xf5 --retry 3 \
     | grep -q "recovered at escalation rung"
+FAULT_STATUS=0
+cargo run -q --release -p vls-cli --bin vls-spice -- \
+    "$FAULT_DECK" --fault-plan bypass --seed 0xf5 \
+    > /dev/null 2> "$CHARLIB_TMP/fault_site_err.txt" || FAULT_STATUS=$?
+if [ "$FAULT_STATUS" -ne 2 ]; then
+    echo "--fault-plan bypass exited $FAULT_STATUS, expected 2 (usage error)" >&2
+    exit 1
+fi
+grep -q "unknown fault site" "$CHARLIB_TMP/fault_site_err.txt"
 
 # The check leg: the chip-scale smoke benchmark (clean 60/240-instance
 # floorplans, worker-count byte identity, 1.5x hierarchical speedup

@@ -2,8 +2,8 @@
 //!
 //! A 256-trial ensemble runs with a deterministic fault plan armed —
 //! forced Newton non-convergence on a seed-selected subset of trials,
-//! pivot-health degradation, LTE-rejection storms and bypass-cache
-//! poisoning sprinkled across the rest. The contract under test:
+//! pivot-health degradation and LTE-rejection storms sprinkled across
+//! the rest. The contract under test:
 //!
 //! * the ensemble **completes** — injected failures surface as typed,
 //!   machine-readable taxonomy entries in a partial report, never as
@@ -23,8 +23,7 @@ use sstvs::netlist::Circuit;
 use sstvs::num::rng::Xoshiro256pp;
 use sstvs::num::SolverStats;
 use sstvs::runner::{
-    derive_seed, run_ensemble, run_ensemble_resilient, run_indexed, OpCache, OpKey, RetryPolicy,
-    RunnerOptions,
+    derive_seed, run_ensemble, run_ensemble_resilient, RetryPolicy, RunnerOptions,
 };
 use sstvs::variation::{sample_perturbation, VariationSpec};
 
@@ -35,10 +34,10 @@ const TSTOP: f64 = 1e-9;
 /// The soak plan: trials whose seed lands on `seed % 5 == 3` get all
 /// four homotopy stages sabotaged (guaranteed non-convergence); other
 /// predicates sprinkle recoverable single-shot faults — a pivot-health
-/// latch, an LTE rejection and a poisoned bypass cache.
+/// latch and an LTE rejection.
 const SOAK_PLAN: &str = "newton@warm:every=5:offset=3,newton@plain:every=5:offset=3,\
                          newton@gmin:every=5:offset=3,newton@source:every=5:offset=3,\
-                         pivot:every=7:offset=2,lte:every=3:offset=1,bypass:every=11:offset=4";
+                         pivot:every=7:offset=2,lte:every=3:offset=1";
 
 /// Seeds the plan dooms to non-convergence.
 fn doomed(seed: u64) -> bool {
@@ -59,12 +58,10 @@ fn victim() -> Harness {
 }
 
 /// Base options for faulted runs: the sparse path (so the pivot hook
-/// is live) with bypassing on (so the poison hook
 /// is live), plan armed per trial seed.
 fn faulted_sim(plan: &FaultPlan, seed: u64) -> SimOptions {
     SimOptions {
         sparse_threshold: 0,
-        bypass_vtol: 1e-6,
         fault: plan.arm(seed),
         ..SimOptions::default()
     }
@@ -233,7 +230,7 @@ fn soak_outcomes_are_schedule_independent() {
 }
 
 /// Satellite 1 — the work counters stay self-consistent on every path:
-/// clean, pivot-degraded, stage-sabotaged, LTE-stormed and poisoned.
+/// clean, pivot-degraded, stage-sabotaged and LTE-stormed.
 /// Invariants: every linear solve was backed by exactly one
 /// factorization (full or numeric-only), Newton accounting dominates
 /// linear solves (failed billed attempts only inflate it), and pivot
@@ -246,7 +243,7 @@ fn solver_stats_counters_stay_consistent_under_injection() {
         "pivot:count=3",
         "newton@plain",
         "newton@warm,newton@plain",
-        "lte:count=2,bypass",
+        "lte:count=2",
         SOAK_PLAN,
     ];
     for text in plans {
@@ -298,7 +295,7 @@ fn solver_stats_counters_stay_consistent_under_injection() {
 
 /// Satellite 1 (escalation leg) — the invariants hold on every rung of
 /// the retry ladder: the armed base attempt, the clean gmin-raised
-/// rung with bypass off, and the quartered-step rung.
+/// rung, and the quartered-step rung.
 #[test]
 fn solver_stats_counters_stay_consistent_across_escalation() {
     let h = victim();
@@ -369,7 +366,6 @@ fn fuzzed_perturbations_never_panic_and_fail_typed() {
             // Exercise both analysis kinds on the sparse path.
             let sim = SimOptions {
                 sparse_threshold: 0,
-                bypass_vtol: 1e-6,
                 ..SimOptions::default()
             };
             let sol = solve_dc(&circuit, &sim)
@@ -390,65 +386,6 @@ fn fuzzed_perturbations_never_panic_and_fail_typed() {
     }
     // The overwhelming majority of 3x-sigma samples still converge.
     assert!(e.successes().len() >= 90, "{} failed", e.failures().len());
-}
-
-/// Satellite 3 — the warm-start cache under quantization collisions
-/// and injected eviction pressure: counters stay exact, and a cache-
-/// driven computation is byte-identical at 1, 2 and 8 workers.
-#[test]
-fn op_cache_is_exact_under_collisions_and_pressure_at_any_worker_count() {
-    // Quantization collisions: float-noise keys collide (hit), real
-    // grid neighbours do not (miss) — counted exactly.
-    let mut c = OpCache::new(4);
-    let base = OpKey::quantize(0.8, 1.2, 300.0);
-    c.insert(base, vec![1.0]);
-    for k in 0..8 {
-        let noisy = OpKey::quantize(0.8 + 1e-13 * k as f64, 1.2, 300.0);
-        assert!(c.get(&noisy).is_some(), "noise key {k} missed");
-    }
-    assert_eq!((c.hits(), c.misses()), (8, 0));
-    assert!(c.get(&OpKey::quantize(0.805, 1.2, 300.0)).is_none());
-    assert_eq!((c.hits(), c.misses()), (8, 1));
-
-    // A deterministic per-index workload that routes through a private
-    // cache, with eviction pressure injected on seed-selected indices.
-    // The produced trace is a pure function of the index.
-    let trace = |index: usize| -> Vec<u64> {
-        let seed = derive_seed(0xCAC4E, index as u64);
-        let mut cache = OpCache::new(3);
-        cache.set_eviction_pressure(seed % 4 == 1);
-        let mut out = Vec::new();
-        for step in 0..12u64 {
-            let v = 0.7 + 0.005 * ((seed.wrapping_add(step) % 7) as f64);
-            let key = OpKey::quantize(v, 1.2, 300.0);
-            let value = match cache.get(&key) {
-                Some(x) => x[0],
-                None => {
-                    let fresh = v * (step + 1) as f64;
-                    cache.insert(key, vec![fresh]);
-                    fresh
-                }
-            };
-            out.push(value.to_bits());
-        }
-        out.push(cache.hits());
-        out.push(cache.misses());
-        out
-    };
-    let serial = run_indexed(40, &RunnerOptions::serial(), trace);
-    for jobs in [2, 8] {
-        let par = run_indexed(40, &RunnerOptions::with_jobs(jobs), trace);
-        assert_eq!(par, serial, "cache trace differs at {jobs} workers");
-    }
-    // Pressure actually bites: pressured indices miss more.
-    let pressured = (0..40).find(|&i| derive_seed(0xCAC4E, i as u64) % 4 == 1);
-    let free = (0..40).find(|&i| derive_seed(0xCAC4E, i as u64) % 4 != 1);
-    let (p, f) = (pressured.unwrap(), free.unwrap());
-    let misses = |t: &[u64]| t[t.len() - 1];
-    assert!(
-        misses(&serial[p]) >= misses(&serial[f]),
-        "pressure did not increase miss traffic"
-    );
 }
 
 /// The pivot-health degrade hook stays live on the sparse path, which

@@ -7,7 +7,7 @@ use sstvs::device::SourceWaveform;
 use sstvs::engine::{
     run_transient, run_transient_forked, EngineError, FaultPlan, SimOptions, TransientResult,
 };
-use sstvs::netlist::Circuit;
+use sstvs::netlist::{Circuit, Element};
 
 const FORK_AT: f64 = 5e-9;
 const T_END: f64 = 400e-9;
@@ -30,6 +30,14 @@ fn hold_wave(vddi: f64, hold: f64) -> SourceWaveform {
 fn holds(kind: &ShifterKind) -> [Circuit; 2] {
     let d = VoltagePair::low_to_high();
     [d.vddi, 0.0].map(|hold| Harness::build(kind, d, hold_wave(d.vddi, hold), 1e-15).circuit)
+}
+
+fn mosfets(circuit: &Circuit) -> u64 {
+    circuit
+        .elements()
+        .iter()
+        .filter(|e| matches!(e, Element::Mosfet { .. }))
+        .count() as u64
 }
 
 fn hold_options() -> SimOptions {
@@ -76,22 +84,14 @@ fn assert_bitwise_equal(
 
 #[test]
 fn forked_holds_equal_two_uninterrupted_runs() {
-    // The dense default, the sparse path (whose frozen pivot order and
-    // factor the fork must carry over) and device bypass (whose caches
-    // it must carry over).
+    // The dense default and the sparse path (whose frozen pivot order
+    // and factor the fork must carry over).
     let variants = [
         ("dense", hold_options()),
         (
             "sparse",
             SimOptions {
                 sparse_threshold: 0,
-                ..hold_options()
-            },
-        ),
-        (
-            "bypass",
-            SimOptions {
-                bypass_vtol: 1e-4,
                 ..hold_options()
             },
         ),
@@ -110,6 +110,15 @@ fn forked_holds_equal_two_uninterrupted_runs() {
                 let branch = &branch.expect("branch runs");
                 let reference = run_transient(circuit, T_END, options).expect("reference runs");
                 assert_bitwise_equal(branch, &reference, circuit, &what);
+                // Every Newton iteration of the branch, its prefix and
+                // its DC solve evaluated every MOSFET exactly once.
+                let stats = branch.solver_stats();
+                assert_eq!(
+                    stats.device_evals,
+                    mosfets(circuit) * stats.newton_iters,
+                    "{what}: device evals out of balance: {}",
+                    stats.render()
+                );
                 // The branch starts with the prefix, sample for sample.
                 let n = prefix.len();
                 assert_eq!(branch.times()[..n], prefix.times()[..], "{what}");
