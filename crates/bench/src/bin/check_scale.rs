@@ -16,7 +16,8 @@
 //!    worker count, and a recorded baseline must suppress the full
 //!    report on re-application.
 //!
-//! A full run writes the `BENCH_check.json` perf-trajectory artifact.
+//! A full run writes the `BENCH_check.json` perf-trajectory artifact;
+//! both floors are checked before it is written.
 //!
 //! ```text
 //! cargo run --release -p vls-bench --bin check_scale [-- --smoke]
@@ -24,22 +25,17 @@
 //!
 //! `--smoke` shrinks the sizes to [60, 240] for CI and writes its JSON
 //! under `$TMPDIR`; every correctness assertion and the (smaller)
-//! speedup floor still hold.
+//! speedup floor still hold. Any other argument is rejected.
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
+use vls_bench::artifact::Artifact;
+use vls_bench::timing::time_reps;
+use vls_bench::{floors, BinArgs};
+use vls_charlib::json::Json;
+use vls_charlib::json_obj;
 use vls_check::{run_check, run_check_design_with, Baseline, CheckOptions, ErcCode, Report};
 use vls_netlist::chipgen::{generate_chip, generate_chip_mutated, ChipMutation, ChipSpec};
 use vls_netlist::HierDesign;
 use vls_runner::RunnerOptions;
-
-/// Minimum hierarchical-vs-flat speedup at the pin size.
-const FULL_FLOOR: f64 = 4.0;
-const SMOKE_FLOOR: f64 = 1.5;
-/// Per-instance hierarchical cost may grow at most this much from the
-/// smallest to the largest size (near-linear scaling).
-const LINEARITY_CAP: f64 = 8.0;
 
 fn spec(instances: usize) -> ChipSpec {
     ChipSpec {
@@ -48,45 +44,26 @@ fn spec(instances: usize) -> ChipSpec {
     }
 }
 
-/// Best-of-`reps` wall time for `f`, with the last result.
-fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        out = Some(f());
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    (best, out.expect("reps >= 1"))
-}
-
-struct Row {
-    instances: usize,
-    hier_serial_s: f64,
-    hier_j8_s: f64,
-    flat_s: Option<f64>,
-    speedup: Option<f64>,
-}
-
 fn check_hier(design: &HierDesign, options: &CheckOptions, jobs: usize) -> Report {
     run_check_design_with(design, options, &RunnerOptions::with_jobs(jobs))
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke =
+        BinArgs::parse_accepting(std::env::args().skip(1), &[], &["--smoke"]).switch("--smoke");
     let sizes: &[usize] = if smoke {
         &[60, 240]
     } else {
         &[100, 1000, 10_000]
     };
-    let (pin_size, floor) = if smoke {
-        (240, SMOKE_FLOOR)
-    } else {
-        (1000, FULL_FLOOR)
-    };
+    let pin_size = if smoke { 240 } else { 1000 };
     let flat_cap = pin_size; // flattened runs stop where they stop being affordable
     let options = CheckOptions::default();
-    let mut rows: Vec<Row> = Vec::new();
+    // Per size: instances and best serial hierarchical time, for the
+    // linearity cap; the speedup at the pin size; one JSON row each.
+    let mut serial_times: Vec<(usize, f64)> = Vec::new();
+    let mut pin_speedup = None;
+    let mut rows: Vec<Json> = Vec::new();
 
     println!(
         "chip-scale MSV verification ({} mode)",
@@ -94,7 +71,8 @@ fn main() {
     );
     for &n in sizes {
         let design = generate_chip(&spec(n));
-        let (hier_serial_s, serial) = time_best(3, || check_hier(&design, &options, 1));
+        let (serial_t, serial) = time_reps(3, || check_hier(&design, &options, 1));
+        let hier_serial_s = serial_t.best_s;
         assert_eq!(
             serial.diagnostics.len(),
             0,
@@ -105,17 +83,18 @@ fn main() {
         // Worker count must never change a byte of output.
         let mut hier_j8_s = hier_serial_s;
         for jobs in [2usize, 8] {
-            let (t, parallel) = time_best(3, || check_hier(&design, &options, jobs));
+            let (t, parallel) = time_reps(3, || check_hier(&design, &options, jobs));
             assert_eq!(serial.render_text(), parallel.render_text(), "jobs={jobs}");
             assert_eq!(serial.render_json(), parallel.render_json(), "jobs={jobs}");
             if jobs == 8 {
-                hier_j8_s = t;
+                hier_j8_s = t.best_s;
             }
         }
 
         let (flat_s, speedup) = if n <= flat_cap {
             let flat = design.flatten();
-            let (t_flat, report) = time_best(2, || run_check(&flat, &options));
+            let (t_flat, report) = time_reps(2, || run_check(&flat, &options));
+            let t_flat = t_flat.best_s;
             assert!(
                 !report.has_errors(),
                 "clean {n}-instance flat chip has errors:\n{}",
@@ -135,38 +114,20 @@ fn main() {
                 _ => ", flat skipped".to_string(),
             }
         );
-        rows.push(Row {
-            instances: n,
-            hier_serial_s,
-            hier_j8_s,
-            flat_s,
-            speedup,
-        });
+        serial_times.push((n, hier_serial_s));
+        if n == pin_size {
+            pin_speedup = speedup;
+        }
+        rows.push(json_obj!(
+            "instances": n, "hier_serial_s": hier_serial_s, "hier_j8_s": hier_j8_s,
+            "flat_s": flat_s, "speedup": speedup,
+        ));
     }
 
     // Floors: speedup at the pin size, near-linear hierarchical cost.
-    let pin = rows
-        .iter()
-        .find(|r| r.instances == pin_size)
-        .expect("pin size is benchmarked");
-    let pin_speedup = pin.speedup.expect("pin size ran flat");
-    assert!(
-        pin_speedup >= floor,
-        "hierarchical speedup {pin_speedup:.2}x at {pin_size} instances is under the {floor}x floor"
-    );
-    let (first, last) = (&rows[0], &rows[rows.len() - 1]);
-    let per_instance_growth = (last.hier_serial_s / last.instances as f64)
-        / (first.hier_serial_s / first.instances as f64);
-    assert!(
-        per_instance_growth <= LINEARITY_CAP,
-        "per-instance hierarchical cost grew {per_instance_growth:.2}x from {} to {} instances",
-        first.instances,
-        last.instances
-    );
-    println!(
-        "  speedup floor: {pin_speedup:.2}x >= {floor}x at {pin_size}; \
-         per-instance growth {per_instance_growth:.2}x <= {LINEARITY_CAP}x"
-    );
+    let pin_speedup = pin_speedup.expect("pin size ran flat");
+    let ((n0, t0), (n1, t1)) = (serial_times[0], serial_times[serial_times.len() - 1]);
+    let per_instance_growth = (t1 / n1 as f64) / (t0 / n0 as f64);
 
     // Mutation scenario: all five MSV rules, stable fingerprints, and
     // a baseline that suppresses the whole recorded report.
@@ -217,36 +178,17 @@ fn main() {
         fingerprints.len()
     );
 
-    // Artifact.
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(json, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"instances\": {}, \"hier_serial_s\": {:.6}, \"hier_j8_s\": {:.6}",
-            r.instances, r.hier_serial_s, r.hier_j8_s
-        );
-        if let (Some(f), Some(s)) = (r.flat_s, r.speedup) {
-            let _ = write!(json, ", \"flat_s\": {f:.6}, \"speedup\": {s:.3}");
-        }
-        let _ = writeln!(json, "}}{}", if i + 1 < rows.len() { "," } else { "" });
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"pin\": {{\"instances\": {pin_size}, \"speedup\": {pin_speedup:.3}, \
-         \"floor\": {floor}}},"
-    );
-    let _ = writeln!(json, "  \"per_instance_growth\": {per_instance_growth:.3},");
-    let _ = writeln!(
-        json,
-        "  \"mutated\": {{\"findings\": {}, \"rules\": [\"ERC009\", \"ERC010\", \"ERC011\", \
-         \"ERC012\", \"ERC013\"], \"baseline_suppresses_all\": true}}",
-        fingerprints.len()
-    );
-    json.push_str("}\n");
-    let path = vls_bench::artifact_path("BENCH_check.json", smoke);
-    std::fs::write(&path, &json).expect("could not write the check artifact");
-    println!("wrote {}", path.display());
+    Artifact::new("check", smoke)
+        .floor("pin_speedup", pin_speedup, floors::CHECK_SPEEDUP[smoke as usize])
+        .cap("per_instance_growth", per_instance_growth, floors::CHECK_LINEARITY_CAP)
+        .field("rows", rows)
+        .field(
+            "mutated",
+            json_obj!(
+                "findings": fingerprints.len(),
+                "rules": ["ERC009", "ERC010", "ERC011", "ERC012", "ERC013"].map(Json::from).to_vec(),
+                "baseline_suppresses_all": true,
+            ),
+        )
+        .write();
 }

@@ -12,8 +12,7 @@
 //! speedup over the serial baseline; the printed statistics are
 //! bit-identical either way.
 
-use std::time::Instant;
-
+use vls_bench::timing::time_reps;
 use vls_bench::BinArgs;
 use vls_cells::{ShifterKind, VoltagePair};
 use vls_core::experiments::tables::monte_carlo_stats_reported;
@@ -35,29 +34,29 @@ fn main() {
         args.seed
     );
 
-    let t0 = Instant::now();
-    let (serial, serial_report) = monte_carlo_stats_reported(
-        &kind,
-        domains,
-        &options,
-        args.trials,
-        args.seed,
-        &RunnerOptions::serial(),
-    )
-    .expect("serial Monte Carlo failed");
-    let serial_wall = t0.elapsed();
-    println!("serial   (1 worker): {serial_wall:.3?}");
+    let (serial_t, (serial, serial_report)) = time_reps(1, || {
+        monte_carlo_stats_reported(
+            &kind,
+            domains,
+            &options,
+            args.trials,
+            args.seed,
+            &RunnerOptions::serial(),
+        )
+        .expect("serial Monte Carlo failed")
+    });
+    println!("serial   (1 worker): {:.3} s", serial_t.best_s);
     print!("{}", serial_report.render());
 
     let runner = args.runner();
-    let t0 = Instant::now();
-    let (parallel, parallel_report) =
+    let (parallel_t, (parallel, parallel_report)) = time_reps(1, || {
         monte_carlo_stats_reported(&kind, domains, &options, args.trials, args.seed, &runner)
-            .expect("parallel Monte Carlo failed");
-    let parallel_wall = t0.elapsed();
+            .expect("parallel Monte Carlo failed")
+    });
     println!(
-        "parallel ({} workers): {parallel_wall:.3?}",
-        runner.effective_jobs()
+        "parallel ({} workers): {:.3} s",
+        runner.effective_jobs(),
+        parallel_t.best_s
     );
     print!("{}", parallel_report.render());
 
@@ -67,7 +66,7 @@ fn main() {
     );
     println!(
         "statistics identical: true; wall-clock speedup {:.2}x",
-        serial_wall.as_secs_f64() / parallel_wall.as_secs_f64().max(1e-12)
+        serial_t.best_s / parallel_t.best_s.max(1e-12)
     );
 
     // Warm-start accounting: the same inverter VTC the engine's sweep

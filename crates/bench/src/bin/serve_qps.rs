@@ -3,10 +3,11 @@
 //! In-process mode boots a daemon over a smoke-grid artifact, drives
 //! it with keep-alive client threads over real loopback sockets, and
 //! writes the `BENCH_serve.json` artifact: sustained QPS (with a
-//! pinned floor), client-side latency quantiles, one exact-fallback
-//! probe, and the daemon's own counter balance. The artifact goes to
-//! `--out` when given, else to `$TMPDIR` under `--smoke` and to the
-//! working directory for a full run.
+//! pinned floor, checked before the artifact is written), client-side
+//! latency quantiles, one exact-fallback probe, and the daemon's own
+//! counter balance. The artifact goes to `--out` when given, else to
+//! `$TMPDIR` under `--smoke` and to the working directory for a full
+//! run.
 //!
 //! ```text
 //! cargo run --release -p vls-bench --bin serve_qps -- [--smoke]
@@ -22,16 +23,14 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use vls_bench::artifact::Artifact;
+use vls_bench::{floors, BinArgs};
 use vls_cells::ShifterKind;
+use vls_charlib::json_obj;
 use vls_charlib::{CharLib, GridSpec};
 use vls_core::CharacterizeOptions;
 use vls_runner::RunnerOptions;
 use vls_serve::{HttpClient, ServeConfig, ServedCell, Server};
-
-/// Aggregate floor across all client threads, requests per second.
-/// Surrogate hits answer in microseconds; even a loaded CI runner
-/// clears this by an order of magnitude.
-const QPS_FLOOR: f64 = 500.0;
 
 /// An in-trust-region query (smoke grid corners are 0.8/1.2 V).
 const IN_TRUST_BODY: &str = r#"{"cell": "sstvs", "vddi": 0.9, "vddo": 1.1}"#;
@@ -39,53 +38,6 @@ const IN_TRUST_BODY: &str = r#"{"cell": "sstvs", "vddi": 0.9, "vddo": 1.1}"#;
 /// Out of the smoke grid's singleton slew axis: electrically healthy,
 /// but only the exact path can answer it.
 const OUT_OF_TRUST_BODY: &str = r#"{"cell": "sstvs", "vddi": 1.2, "vddo": 1.2, "slew": 60e-12}"#;
-
-struct Args {
-    smoke: bool,
-    lib: Option<String>,
-    attach: Option<String>,
-    shutdown: bool,
-    threads: usize,
-    requests: Option<usize>,
-    jobs: Option<usize>,
-    queue: usize,
-    out: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        lib: None,
-        attach: None,
-        shutdown: false,
-        threads: 4,
-        requests: None,
-        jobs: None,
-        queue: 64,
-        out: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} expects a value"))
-        };
-        match flag.as_str() {
-            "--smoke" => args.smoke = true,
-            "--shutdown" => args.shutdown = true,
-            "--lib" => args.lib = Some(value("--lib")),
-            "--attach" => args.attach = Some(value("--attach")),
-            "--threads" => args.threads = value("--threads").parse().expect("--threads"),
-            "--requests" => args.requests = Some(value("--requests").parse().expect("--requests")),
-            "--jobs" => args.jobs = Some(value("--jobs").parse().expect("--jobs")),
-            "--queue" => args.queue = value("--queue").parse().expect("--queue"),
-            "--out" => args.out = Some(value("--out")),
-            other => panic!("unknown flag '{other}'"),
-        }
-    }
-    assert!(args.threads > 0, "--threads must be positive");
-    args
-}
 
 /// Probes an already-running daemon: readiness, one query, metrics,
 /// and optionally a clean shutdown. The CI CLI smoke drives the
@@ -120,16 +72,31 @@ fn quantile(sorted_us: &[u64], p: f64) -> u64 {
 }
 
 fn main() {
-    let args = parse_args();
-    if let Some(addr) = &args.attach {
-        attach(addr, args.shutdown);
+    let args = BinArgs::parse_accepting(
+        std::env::args().skip(1),
+        &[
+            "--lib",
+            "--attach",
+            "--threads",
+            "--requests",
+            "--jobs",
+            "--queue",
+            "--out",
+        ],
+        &["--smoke", "--shutdown"],
+    );
+    let smoke = args.switch("--smoke");
+    let threads: usize = args.parsed("--threads").unwrap_or(4);
+    assert!(threads > 0, "--threads must be positive");
+    if let Some(addr) = args.value("--attach") {
+        attach(addr, args.switch("--shutdown"));
         println!("attach probe passed");
         return;
     }
 
     let kind = ShifterKind::sstvs();
     let base = CharacterizeOptions::default();
-    let lib = match &args.lib {
+    let lib = match args.value("--lib") {
         Some(path) => CharLib::load(path, &kind, &base).expect("load --lib artifact"),
         None => {
             println!("building smoke-grid library (pass --lib PATH to reuse an artifact)");
@@ -139,23 +106,22 @@ fn main() {
     let cells = vec![ServedCell::new("sstvs", Arc::new(lib))];
     let cfg = ServeConfig {
         jobs: args.jobs,
-        queue_depth: args.queue,
+        queue_depth: args.parsed("--queue").unwrap_or(64),
         ..ServeConfig::default()
     };
     let server = Server::start(cells, cfg).expect("start daemon");
     let addr = server.addr();
 
-    let per_thread = args.requests.unwrap_or(if args.smoke { 250 } else { 2000 });
-    let total = args.threads * per_thread;
-    println!(
-        "daemon on {addr}; {} threads x {per_thread} in-trust queries",
-        args.threads
-    );
+    let per_thread = args
+        .parsed("--requests")
+        .unwrap_or(if smoke { 250 } else { 2000 });
+    let total = threads * per_thread;
+    println!("daemon on {addr}; {threads} threads x {per_thread} in-trust queries");
 
     // ---- Timed phase: closed-loop keep-alive clients. ----
     let t0 = Instant::now();
     let mut handles = Vec::new();
-    for _ in 0..args.threads {
+    for _ in 0..threads {
         handles.push(std::thread::spawn(move || {
             let mut client =
                 HttpClient::connect(addr, Duration::from_secs(60)).expect("connect client thread");
@@ -226,27 +192,25 @@ fn main() {
     server.shutdown();
     server.wait();
 
-    // ---- Artifact + floor. ----
-    let json = format!(
-        "{{\n  \"smoke\": {},\n  \"threads\": {},\n  \"requests\": {total},\n  \
-         \"wall_s\": {wall:.6},\n  \"qps\": {qps:.1},\n  \"qps_floor\": {QPS_FLOOR},\n  \
-         \"latency_us\": {{\n    \"p50\": {p50},\n    \"p90\": {p90},\n    \"p99\": {p99},\n    \
-         \"max\": {max_us}\n  }},\n  \"exact_fallback_us\": {exact_us},\n  \
-         \"counters\": {{\n    \"hits\": {hits},\n    \"misses\": {misses},\n    \
-         \"sheds\": {sheds}\n  }}\n}}\n",
-        args.smoke, args.threads,
-    );
-    let path = args.out.as_ref().map_or_else(
-        || vls_bench::artifact_path("BENCH_serve.json", args.smoke),
-        std::path::PathBuf::from,
-    );
-    std::fs::write(&path, &json)
-        .unwrap_or_else(|e| panic!("could not write {}: {e}", path.display()));
-    println!("wrote {}", path.display());
-
-    assert!(
-        qps >= QPS_FLOOR,
-        "sustained {qps:.0} QPS is under the {QPS_FLOOR} floor"
-    );
-    println!("floor held: {qps:.0} QPS >= {QPS_FLOOR}");
+    // ---- Floor, then artifact. ----
+    let mut artifact = Artifact::new("serve", smoke);
+    artifact
+        .floor("qps", qps, floors::SERVE_QPS)
+        .field("threads", threads)
+        .field("requests", total)
+        .field("wall_s", wall)
+        .field("qps", qps)
+        .field(
+            "latency_us",
+            json_obj!("p50": p50, "p90": p90, "p99": p99, "max": max_us),
+        )
+        .field("exact_fallback_us", exact_us)
+        .field(
+            "counters",
+            json_obj!("hits": hits, "misses": misses, "sheds": sheds),
+        );
+    match args.value("--out") {
+        Some(path) => artifact.write_to(path.as_ref()),
+        None => artifact.write(),
+    }
 }

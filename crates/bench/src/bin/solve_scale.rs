@@ -18,56 +18,41 @@
 //! * **chip rows** — `chipgen` floorplans sized to a ladder of MNA
 //!   unknown counts, over the first half of the stimulus edge. The
 //!   legs must agree on every DC unknown and final node voltage. The
-//!   default leg must be at least [`FULL_FLOOR`]x faster end to end at
-//!   1 000 unknowns ([`SMOKE_FLOOR`]x at 400 under `--smoke`).
+//!   default leg must be at least 4x faster end to end at 1 000
+//!   unknowns (1.5x at 400 under `--smoke`).
 //! * **mesh row** — the paper's Figure 3 multi-voltage SoC (twelve
 //!   SS-TVS crossings, 140 unknowns) over a 4 ns window (2 ns under
 //!   `--smoke`) that covers several staggered stimulus edges. The legs
 //!   must agree at every sample of the first crossing's receiver, and
-//!   the default leg must be at least [`MESH_FLOOR`]x faster in both
-//!   modes. The mesh is the paper's largest system, so this row also
-//!   measures the `sparse_threshold = 64` choice at a size it decides.
+//!   the default leg must be at least 1.2x faster in both modes. The
+//!   mesh is the paper's largest system, so this row also measures the
+//!   `sparse_threshold = 64` choice at a size it decides.
 //!
 //! ```text
 //! cargo run --release -p vls-bench --bin solve_scale [-- --smoke]
 //! ```
 //!
-//! A full run writes the `BENCH_solve.json` perf-trajectory artifact.
-//! `--smoke` shrinks the chip sizes to [100, 400] and the mesh window
-//! to 2 ns, checks the same assertions and the smoke floors, and
-//! writes its JSON under the system temporary directory (`$TMPDIR`) so
-//! the trajectory only moves on deliberate full runs.
+//! A full run writes the `BENCH_solve.json` perf-trajectory artifact
+//! once both floors hold. `--smoke` shrinks the chip sizes to
+//! [100, 400] and the mesh window to 2 ns, checks the same assertions
+//! and the smoke floors, and writes its JSON under the system temporary
+//! directory (`$TMPDIR`) so the trajectory only moves on deliberate
+//! full runs. Any other argument is rejected.
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
+use vls_bench::artifact::Artifact;
+use vls_bench::timing::time_reps;
+use vls_bench::{floors, BinArgs};
 use vls_cells::MultiVoltageSystem;
+use vls_charlib::json::Json;
+use vls_charlib::json_obj;
 use vls_engine::{run_transient, solve_dc, DcSolution, SimOptions, TransientResult};
 use vls_netlist::chipgen::{generate_chip, spec_for_unknowns, unknowns_of};
 use vls_netlist::Circuit;
 
-/// Minimum default-vs-dense end-to-end speedup at the chip pin size.
-const FULL_FLOOR: f64 = 4.0;
-const SMOKE_FLOOR: f64 = 1.5;
-/// Minimum default-vs-dense end-to-end speedup on the Figure 3 mesh,
-/// in both modes.
-const MESH_FLOOR: f64 = 1.2;
 /// Agreement tolerance between the two legs' solutions, V (or A).
 const SOLVE_TOL: f64 = 1e-9;
 /// Chip transient window: the first half of the 50 ps stimulus edge.
 const CHIP_TSTOP: f64 = 2.5e-11;
-
-/// Best-of-`reps` wall time for `f`, with the last result.
-fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        out = Some(f());
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    (best, out.expect("reps >= 1"))
-}
 
 /// One engine leg on one workload: DC plus the transient window.
 struct Leg {
@@ -79,13 +64,13 @@ struct Leg {
 
 impl Leg {
     fn run(circuit: &Circuit, tstop: f64, sim: &SimOptions, reps: usize) -> Self {
-        let (dc_s, dc) = time_best(reps, || solve_dc(circuit, sim).expect("DC"));
-        let (tran_s, tran) = time_best(reps, || {
+        let (dc_t, dc) = time_reps(reps, || solve_dc(circuit, sim).expect("DC"));
+        let (tran_t, tran) = time_reps(reps, || {
             run_transient(circuit, tstop, sim).expect("transient")
         });
         Self {
-            dc_s,
-            tran_s,
+            dc_s: dc_t.best_s,
+            tran_s: tran_t.best_s,
             dc,
             tran,
         }
@@ -112,15 +97,10 @@ impl Leg {
         );
     }
 
-    fn json(&self) -> String {
-        format!(
-            "{{\"dc_s\": {:.6}, \"tran_s\": {:.6}, \"tran_steps\": {}, \
-             \"newton_iters\": {}, \"s_per_newton\": {:.9}}}",
-            self.dc_s,
-            self.tran_s,
-            self.tran.len(),
-            self.newton_iters(),
-            self.s_per_newton()
+    fn json(&self) -> Json {
+        json_obj!(
+            "dc_s": self.dc_s, "tran_s": self.tran_s, "tran_steps": self.tran.len(),
+            "newton_iters": self.newton_iters(), "s_per_newton": self.s_per_newton(),
         )
     }
 }
@@ -157,6 +137,14 @@ impl ChipRow {
         self.dense
             .as_ref()
             .map(|d| d.total_s() / self.default.total_s())
+    }
+
+    fn json(&self) -> Json {
+        json_obj!(
+            "unknowns": self.unknowns, "instances": self.instances,
+            "default": self.default.json(), "dense": self.dense.as_ref().map(Leg::json),
+            "speedup": self.speedup(),
+        )
     }
 }
 
@@ -210,14 +198,23 @@ impl MeshRow {
     fn speedup(&self) -> f64 {
         self.dense.total_s() / self.default.total_s()
     }
+
+    fn json(&self) -> Json {
+        json_obj!(
+            "unknowns": self.unknowns, "crossings": self.crossings, "tstop_s": self.tstop,
+            "default": self.default.json(), "dense": self.dense.json(),
+            "worst_dev_v": self.worst, "speedup": self.speedup(),
+        )
+    }
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (targets, pin_target, floor): (&[usize], usize, f64) = if smoke {
-        (&[100, 400], 400, SMOKE_FLOOR)
+    let smoke =
+        BinArgs::parse_accepting(std::env::args().skip(1), &[], &["--smoke"]).switch("--smoke");
+    let (targets, pin_target): (&[usize], usize) = if smoke {
+        (&[100, 400], 400)
     } else {
-        (&[100, 1000, 4000, 10_000], 1000, FULL_FLOOR)
+        (&[100, 1000, 4000, 10_000], 1000)
     };
     let reps = if smoke { 2 } else { 3 };
     let mesh_tstop = if smoke { 2e-9 } else { 4e-9 };
@@ -309,59 +306,15 @@ fn main() {
         .find(|r| r.unknowns >= pin_target && r.dense.is_some())
         .expect("pin size ran the dense leg");
     let pin_speedup = pin.speedup().expect("pin ran the dense leg");
-    assert!(
-        pin_speedup >= floor,
-        "default speedup {pin_speedup:.2}x at {} unknowns is under the {floor}x floor",
-        pin.unknowns
-    );
-    assert!(
-        mesh_speedup >= MESH_FLOOR,
-        "mesh speedup {mesh_speedup:.2}x is under the {MESH_FLOOR}x floor"
-    );
-    println!(
-        "  floors held: {pin_speedup:.2}x >= {floor}x at {} unknowns, \
-         mesh {mesh_speedup:.2}x >= {MESH_FLOOR}x",
-        pin.unknowns
-    );
-
-    // Artifact.
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(json, "  \"tstop_s\": {CHIP_TSTOP:e},");
-    let _ = writeln!(json, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"unknowns\": {}, \"instances\": {}, \"default\": {}",
-            r.unknowns,
-            r.instances,
-            r.default.json()
-        );
-        if let (Some(dense), Some(s)) = (&r.dense, r.speedup()) {
-            let _ = write!(json, ", \"dense\": {}, \"speedup\": {s:.3}", dense.json());
-        }
-        let _ = writeln!(json, "}}{}", if i + 1 < rows.len() { "," } else { "" });
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"pin\": {{\"unknowns\": {}, \"speedup\": {pin_speedup:.3}, \"floor\": {floor}}},",
-        pin.unknowns
-    );
-    let _ = writeln!(
-        json,
-        "  \"mesh\": {{\"unknowns\": {}, \"crossings\": {}, \"tstop_s\": {:e}, \
-         \"default\": {}, \"dense\": {}, \"worst_dev_v\": {:.3e}, \
-         \"speedup\": {mesh_speedup:.3}, \"floor\": {MESH_FLOOR}}}",
-        mesh.unknowns,
-        mesh.crossings,
-        mesh.tstop,
-        mesh.default.json(),
-        mesh.dense.json(),
-        mesh.worst
-    );
-    json.push_str("}\n");
-    let path = vls_bench::artifact_path("BENCH_solve.json", smoke);
-    std::fs::write(&path, &json).expect("could not write the solve artifact");
-    println!("wrote {}", path.display());
+    Artifact::new("solve", smoke)
+        .floor(
+            "pin_speedup",
+            pin_speedup,
+            floors::SOLVE_SPEEDUP[smoke as usize],
+        )
+        .floor("mesh_speedup", mesh_speedup, floors::SOLVE_MESH_SPEEDUP)
+        .field("tstop_s", CHIP_TSTOP)
+        .field("rows", rows.iter().map(ChipRow::json).collect::<Vec<_>>())
+        .field("mesh", mesh.json())
+        .write();
 }

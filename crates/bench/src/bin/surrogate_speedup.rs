@@ -17,26 +17,11 @@
 //! contract is enforced on a dense grid by `tests/charlib_surrogate.rs`
 //! — this 0.1 V bench pitch trades accuracy for build time).
 
-use std::time::Instant;
-
-use vls_bench::BinArgs;
+use vls_bench::timing::time_reps;
+use vls_bench::{floors, BinArgs};
 use vls_cells::ShifterKind;
 use vls_charlib::{CharLib, GridSpec, QueryPoint};
-
-/// Deterministic xorshift for query-point jitter (no external RNG
-/// crates, reproducible runs).
-struct XorShift(u64);
-
-impl XorShift {
-    fn next_unit(&mut self) -> f64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        (x >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
+use vls_num::rng::{Rng, Xoshiro256pp};
 
 fn main() {
     let args = BinArgs::parse(std::env::args().skip(1));
@@ -45,20 +30,19 @@ fn main() {
     let grid = GridSpec::rails(0.8, 1.4, 0.1, vec![args.temp_celsius])
         .expect("benchmark grid is statically valid");
 
-    let t0 = Instant::now();
-    let (lib, status) = match &args.from_lib {
-        Some(path) => CharLib::load_or_build(path, &kind, &base, grid, &args.runner())
+    let (fill, (lib, status)) = time_reps(1, || match &args.from_lib {
+        Some(path) => CharLib::load_or_build(path, &kind, &base, grid.clone(), &args.runner())
             .expect("artifact load/build failed"),
         None => (
-            CharLib::build(&kind, &base, grid, &args.runner()),
+            CharLib::build(&kind, &base, grid.clone(), &args.runner()),
             vls_charlib::BuildStatus::BuiltMissing,
         ),
-    };
+    });
     let grid = lib.grid();
     println!(
         "grid: {} points filled in {:.2} s ({status:?})",
         grid.n_points(),
-        t0.elapsed().as_secs_f64()
+        fill.best_s
     );
 
     // Held-out midpoints of the functional interior: the table never
@@ -81,12 +65,13 @@ fn main() {
     assert!(!midpoints.is_empty(), "no functional midpoints to test");
 
     // Exact side: the full protocol at every midpoint.
-    let t0 = Instant::now();
-    let exact: Vec<_> = midpoints
-        .iter()
-        .map(|q| lib.eval_exact(q).expect("exact protocol failed"))
-        .collect();
-    let exact_total = t0.elapsed().as_secs_f64();
+    let (exact_t, exact) = time_reps(1, || {
+        midpoints
+            .iter()
+            .map(|q| lib.eval_exact(q).expect("exact protocol failed"))
+            .collect::<Vec<_>>()
+    });
+    let exact_total = exact_t.best_s;
     let exact_per_query = exact_total / midpoints.len() as f64;
 
     // Surrogate side: the same midpoints, then a large pseudo-random
@@ -111,28 +96,25 @@ fn main() {
     }
 
     const BATCH: usize = 100_000;
-    let mut rng = XorShift(0x5557_6533);
+    let mut rng = Xoshiro256pp::seed_from_u64(0x5557_6533);
     let (vi_lo, vi_hi) = (grid.vddi[0], *grid.vddi.last().unwrap());
     let (vo_lo, vo_hi) = (grid.vddo[0], *grid.vddo.last().unwrap());
     let queries: Vec<QueryPoint> = (0..BATCH)
         .map(|_| QueryPoint {
             slew: grid.slew[0],
             load: grid.load[0],
-            vddi: vi_lo + (vi_hi - vi_lo) * rng.next_unit(),
-            vddo: vo_lo + (vo_hi - vo_lo) * rng.next_unit(),
+            vddi: rng.gen_range(vi_lo, vi_hi),
+            vddo: rng.gen_range(vo_lo, vo_hi),
             temp: grid.temp[0],
         })
         .collect();
-    let t0 = Instant::now();
-    let mut served = 0usize;
-    let mut checksum = 0.0f64;
-    for q in &queries {
-        if let Some(m) = lib.eval_table(q) {
-            served += 1;
-            checksum += m.delay_rise;
-        }
-    }
-    let surrogate_total = t0.elapsed().as_secs_f64();
+    let (surrogate_t, (served, checksum)) = time_reps(1, || {
+        queries
+            .iter()
+            .filter_map(|q| lib.eval_table(q))
+            .fold((0usize, 0.0f64), |(n, sum), m| (n + 1, sum + m.delay_rise))
+    });
+    let surrogate_total = surrogate_t.best_s;
     let surrogate_per_query = surrogate_total / BATCH as f64;
     let speedup = exact_per_query / surrogate_per_query;
 
@@ -153,8 +135,9 @@ fn main() {
         max_rel * 100.0
     );
     assert!(
-        speedup >= 100.0,
-        "surrogate speedup {speedup:.0}x is below the 100x floor"
+        speedup >= floors::SURROGATE_SPEEDUP,
+        "surrogate speedup {speedup:.0}x is below the {}x floor",
+        floors::SURROGATE_SPEEDUP
     );
 
     args.maybe_write_csv(&format!(

@@ -1,7 +1,10 @@
-//! Shared plumbing for the table/figure regeneration binaries.
+//! Shared plumbing for the table/figure regeneration binaries and the
+//! measurement bins: one flag parser ([`BinArgs`]), one timer
+//! ([`timing::time_reps`]), one `BENCH_*.json` writer
+//! ([`artifact::Artifact`]) and every enforced floor ([`floors`]).
 //!
-//! Every binary accepts the same tiny flag set (no external CLI crate
-//! needed):
+//! The table/figure binaries accept the same tiny flag set (no
+//! external CLI crate needed):
 //!
 //! * `--trials N` — Monte Carlo trials (default 1000, the paper's
 //!   count);
@@ -16,13 +19,57 @@
 //! * `--from-lib PATH` — serve from a prebuilt characterization
 //!   library artifact (built on first use) where the binary supports
 //!   it (`figure8`, `table3`, `surrogate_speedup`).
+//!
+//! A measurement bin declares its own set through
+//! [`BinArgs::parse_accepting`], valueless switches such as `--smoke`
+//! included; a flag a bin does not declare is rejected.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use vls_core::CharacterizeOptions;
 use vls_runner::RunnerOptions;
 
+pub mod artifact;
 pub mod timing;
+
+/// The flags every table/figure binary accepts.
+pub const COMMON_FLAGS: &[&str] = &[
+    "--trials",
+    "--seed",
+    "--step-mv",
+    "--temp",
+    "--jobs",
+    "--csv",
+    "--from-lib",
+];
+
+/// Every floor and cap the measurement bins enforce, in one place. A
+/// `[full, smoke]` pair is indexed by `smoke as usize`.
+pub mod floors {
+    /// `check_scale`: hierarchical-vs-flat speedup at the pin size
+    /// (1000 instances; 240 under `--smoke`).
+    pub const CHECK_SPEEDUP: [f64; 2] = [4.0, 1.5];
+    /// `check_scale`: how much the per-instance hierarchical cost may
+    /// grow from the smallest to the largest size (near-linear).
+    pub const CHECK_LINEARITY_CAP: f64 = 8.0;
+    /// `solve_scale`: default-vs-dense end-to-end speedup at the chip
+    /// pin size (1 000 unknowns; 400 under `--smoke`).
+    pub const SOLVE_SPEEDUP: [f64; 2] = [4.0, 1.5];
+    /// `solve_scale`: default-vs-dense speedup on the Figure 3 mesh.
+    pub const SOLVE_MESH_SPEEDUP: f64 = 1.2;
+    /// `serve_qps`: sustained requests per second over all clients.
+    /// Surrogate hits answer in microseconds; even a loaded CI runner
+    /// clears this by an order of magnitude.
+    pub const SERVE_QPS: f64 = 500.0;
+    /// `opt_convergence`: surrogate-vs-exact speedup per evaluation.
+    pub const OPT_SPEEDUP: f64 = 50.0;
+    /// `opt_convergence`: the search's evaluation budget.
+    pub const OPT_BUDGET: [usize; 2] = [80, 24];
+    /// `opt_convergence`: the accepted optimum's surrogate-vs-exact gap.
+    pub const OPT_GAP_TOLERANCE: f64 = 0.15;
+    /// `surrogate_speedup`: surrogate-vs-exact speedup per query.
+    pub const SURROGATE_SPEEDUP: f64 = 100.0;
+}
 
 /// Parsed command-line options for the regeneration binaries.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,6 +88,10 @@ pub struct BinArgs {
     pub csv: Option<String>,
     /// Optional prebuilt characterization-library artifact path.
     pub from_lib: Option<String>,
+    /// Valueless switches given (`--smoke`, `--shutdown`).
+    pub switches: BTreeSet<String>,
+    /// Bin-specific flags with their (last) values.
+    pub extra: BTreeMap<String, String>,
 }
 
 impl Default for BinArgs {
@@ -53,12 +104,14 @@ impl Default for BinArgs {
             jobs: None,
             csv: None,
             from_lib: None,
+            switches: BTreeSet::new(),
+            extra: BTreeMap::new(),
         }
     }
 }
 
 impl BinArgs {
-    /// Parses `--key value` pairs from an iterator of arguments
+    /// Parses the [`COMMON_FLAGS`] from an iterator of arguments
     /// (typically `std::env::args().skip(1)`).
     ///
     /// # Panics
@@ -66,16 +119,38 @@ impl BinArgs {
     /// Panics with a usage message on unknown flags or bad values,
     /// which is the right behaviour for a measurement script.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
+        Self::parse_accepting(args, COMMON_FLAGS, &[])
+    }
+
+    /// Parses a bin's own flag set: each of `valued` takes a value (a
+    /// common flag fills its typed field, any other lands in
+    /// [`Self::extra`]), each of `switches` takes none.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::parse`]: on a flag outside both lists, a missing or
+    /// bad value.
+    pub fn parse_accepting(
+        args: impl IntoIterator<Item = String>,
+        valued: &[&str],
+        switches: &[&str],
+    ) -> Self {
         let mut out = Self::default();
-        let mut map = HashMap::new();
         let mut iter = args.into_iter();
         while let Some(key) = iter.next() {
+            if switches.contains(&key.as_str()) {
+                out.switches.insert(key);
+                continue;
+            }
+            if !valued.contains(&key.as_str()) {
+                panic!(
+                    "unknown flag {key}; supported: {}",
+                    [valued, switches].concat().join(" ")
+                );
+            }
             let value = iter
                 .next()
                 .unwrap_or_else(|| panic!("flag {key} requires a value"));
-            map.insert(key, value);
-        }
-        for (key, value) in map {
             match key.as_str() {
                 "--trials" => out.trials = value.parse().expect("--trials takes an integer"),
                 "--seed" => out.seed = value.parse().expect("--seed takes an integer"),
@@ -92,13 +167,34 @@ impl BinArgs {
                 }
                 "--csv" => out.csv = Some(value),
                 "--from-lib" => out.from_lib = Some(value),
-                other => panic!(
-                    "unknown flag {other}; supported: --trials --seed --step-mv --temp --jobs \
-                     --csv --from-lib"
-                ),
+                _ => {
+                    out.extra.insert(key, value);
+                }
             }
         }
         out
+    }
+
+    /// Whether the valueless switch `name` was given.
+    pub fn switch(&self, name: &str) -> bool {
+        self.switches.contains(name)
+    }
+
+    /// The value given for the bin-specific flag `name`.
+    pub fn value(&self, name: &str) -> Option<&str> {
+        self.extra.get(name).map(String::as_str)
+    }
+
+    /// [`Self::value`] parsed as `T`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value does not parse.
+    pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.value(name).map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| panic!("{name} takes a number, got {v}"))
+        })
     }
 
     /// Characterization options at the selected temperature.
@@ -141,8 +237,8 @@ pub fn artifact_path(name: &str, smoke: bool) -> std::path::PathBuf {
 mod tests {
     use super::*;
 
-    fn strings(items: &[&str]) -> Vec<String> {
-        items.iter().map(|s| s.to_string()).collect()
+    fn strings(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
     }
 
     #[test]
@@ -155,20 +251,9 @@ mod tests {
 
     #[test]
     fn parses_all_flags() {
-        let a = BinArgs::parse(strings(&[
-            "--trials",
-            "50",
-            "--seed",
-            "9",
-            "--step-mv",
-            "5",
-            "--temp",
-            "90",
-            "--jobs",
-            "3",
-            "--csv",
-            "/tmp/x.csv",
-        ]));
+        let a = BinArgs::parse(strings(
+            "--trials 50 --seed 9 --step-mv 5 --temp 90 --jobs 3 --csv /tmp/x.csv",
+        ));
         assert_eq!(a.trials, 50);
         assert_eq!(a.seed, 9);
         assert!((a.step_v - 0.005).abs() < 1e-12);
@@ -181,7 +266,7 @@ mod tests {
 
     #[test]
     fn parses_from_lib() {
-        let a = BinArgs::parse(strings(&["--from-lib", "/tmp/lib.json"]));
+        let a = BinArgs::parse(strings("--from-lib /tmp/lib.json"));
         assert_eq!(a.from_lib.as_deref(), Some("/tmp/lib.json"));
         assert_eq!(BinArgs::default().from_lib, None);
     }
@@ -197,12 +282,51 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown flag")]
     fn unknown_flag_panics() {
-        let _ = BinArgs::parse(strings(&["--bogus", "1"]));
+        let _ = BinArgs::parse(strings("--bogus 1"));
     }
 
     #[test]
     #[should_panic(expected = "requires a value")]
     fn missing_value_panics() {
-        let _ = BinArgs::parse(strings(&["--trials"]));
+        let _ = BinArgs::parse(strings("--trials"));
+    }
+
+    #[test]
+    fn switches_take_no_value_and_bin_flags_keep_theirs() {
+        let a = BinArgs::parse_accepting(
+            strings("--smoke --lib x.json --jobs 2 --threads 3 --shutdown"),
+            &["--lib", "--jobs", "--threads"],
+            &["--smoke", "--shutdown"],
+        );
+        assert!(a.switch("--smoke") && a.switch("--shutdown"));
+        assert_eq!(a.value("--lib"), Some("x.json"));
+        assert_eq!(a.parsed::<usize>("--threads"), Some(3));
+        assert_eq!(a.parsed::<usize>("--queue"), None);
+        assert_eq!(a.jobs, Some(2));
+        assert!(!BinArgs::parse_accepting(strings(""), &[], &["--smoke"]).switch("--smoke"));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag --smok")]
+    fn a_mistyped_switch_is_rejected_not_ignored() {
+        let _ = BinArgs::parse_accepting(strings("--smok"), &[], &["--smoke"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag --smoke")]
+    fn a_bin_without_smoke_rejects_it() {
+        let _ = BinArgs::parse(strings("--smoke"));
+    }
+
+    #[test]
+    fn floors_keep_their_values_and_smoke_split() {
+        use floors::*;
+        assert_eq!((CHECK_SPEEDUP, CHECK_LINEARITY_CAP), ([4.0, 1.5], 8.0));
+        assert_eq!((SOLVE_SPEEDUP, SOLVE_MESH_SPEEDUP), ([4.0, 1.5], 1.2));
+        assert_eq!(
+            (OPT_SPEEDUP, OPT_BUDGET, OPT_GAP_TOLERANCE),
+            (50.0, [80, 24], 0.15)
+        );
+        assert_eq!((SERVE_QPS, SURROGATE_SPEEDUP), (500.0, 100.0));
     }
 }

@@ -144,11 +144,6 @@ pub struct TransmissionGate {
     pub wp: f64,
     /// Channel length, µm.
     pub l: f64,
-    /// Use a high-VT PMOS. Needed when the gate must *block* signals
-    /// that swing above its control-domain supply (a nominal-VT PMOS
-    /// with `V_SG = VDDI − VDDO > |VT|` would conduct while nominally
-    /// disabled).
-    pub pmos_hvt: bool,
 }
 
 impl TransmissionGate {
@@ -158,15 +153,6 @@ impl TransmissionGate {
             wn: 0.2,
             wp: 0.4,
             l: 0.1,
-            pmos_hvt: false,
-        }
-    }
-
-    /// Minimum-size gate with a high-VT PMOS (for above-rail blocking).
-    pub fn minimum_hvt() -> Self {
-        Self {
-            pmos_hvt: true,
-            ..Self::minimum()
         }
     }
 
@@ -193,18 +179,13 @@ impl TransmissionGate {
             MosModel::ptm90_nmos(),
             MosGeometry::from_microns(self.wn, self.l),
         );
-        let pmos = if self.pmos_hvt {
-            MosModel::ptm90_pmos_hvt()
-        } else {
-            MosModel::ptm90_pmos()
-        };
         c.add_mosfet(
             &format!("{prefix}.mp"),
             a,
             enable_b,
             b,
             vdd,
-            pmos,
+            MosModel::ptm90_pmos(),
             MosGeometry::from_microns(self.wp, self.l),
         );
     }

@@ -1,5 +1,5 @@
-//! A minimal JSON reader for the artifact schema — std-only, no
-//! external crates (the workspace builds with zero registry access).
+//! A minimal JSON reader and writer for the artifact schema — std-only,
+//! no external crates (the workspace builds with zero registry access).
 //!
 //! Supports the subset the artifact uses: objects, arrays, strings
 //! (with escape sequences), numbers, booleans and `null`. Numbers are
@@ -54,6 +54,41 @@ impl Json {
             Json::Arr(items) => Some(items),
             _ => None,
         }
+    }
+}
+
+/// Builds a [`Json::Obj`] from `"key": value` members, in order,
+/// converting each value with `Json::from`.
+#[macro_export]
+macro_rules! json_obj {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        $crate::json::Json::Obj(vec![$(($key.to_string(), $crate::json::Json::from($value))),*])
+    };
+}
+
+macro_rules! json_from {
+    ($($t:ty => $v:ident => $e:expr),* $(,)?) => {$(
+        impl From<$t> for Json {
+            fn from($v: $t) -> Self {
+                $e
+            }
+        }
+    )*};
+}
+
+json_from! {
+    f64 => v => Json::Num(v),
+    usize => v => Json::Num(v as f64),
+    u64 => v => Json::Num(v as f64),
+    bool => v => Json::Bool(v),
+    &str => v => Json::Str(v.to_string()),
+    &[f64] => v => Json::Arr(v.iter().map(|&x| Json::Num(x)).collect()),
+    Vec<Json> => v => Json::Arr(v),
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Json::Null, Into::into)
     }
 }
 
@@ -250,6 +285,74 @@ pub fn write_str(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// Renders `v` as an indented document ending in a newline: one
+/// member per line, two spaces per level, except that a nested value
+/// [`fits_one_line`] stays on one line. Integral numbers print without
+/// a fraction, the rest through [`write_f64`], and strings through
+/// [`write_str`], so [`parse`] reads every value back exactly
+/// (non-finite numbers as `null`).
+pub fn render(v: &Json) -> String {
+    let mut out = String::new();
+    render_into(&mut out, v, 0);
+    out.push('\n');
+    out
+}
+
+/// A scalar, an array of scalars, or an object whose members all fit
+/// one line.
+fn fits_one_line(v: &Json) -> bool {
+    match v {
+        Json::Arr(items) => items
+            .iter()
+            .all(|i| !matches!(i, Json::Arr(_) | Json::Obj(_))),
+        Json::Obj(members) => members.iter().all(|(_, m)| fits_one_line(m)),
+        _ => true,
+    }
+}
+
+fn render_into(out: &mut String, v: &Json, depth: usize) {
+    let (open, close, members): (char, char, Vec<(Option<&str>, &Json)>) = match v {
+        Json::Null => return out.push_str("null"),
+        Json::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+        // Counts read as integers; 2^53 bounds the exact ones.
+        Json::Num(x) if x.fract() == 0.0 && x.abs() < 9_007_199_254_740_992.0 => {
+            return out.push_str(&format!("{x:.0}"))
+        }
+        Json::Num(x) => return write_f64(out, *x),
+        Json::Str(s) => return write_str(out, s),
+        Json::Arr(items) => ('[', ']', items.iter().map(|i| (None, i)).collect()),
+        Json::Obj(members) => {
+            let members = members.iter().map(|(k, m)| (Some(k.as_str()), m));
+            ('{', '}', members.collect())
+        }
+    };
+    let inline = depth > 0 && fits_one_line(v);
+    let indent = |out: &mut String, depth: usize| {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    };
+    out.push(open);
+    for (i, (key, member)) in members.iter().enumerate() {
+        out.push_str(match (i, inline) {
+            (0, _) => "",
+            (_, true) => ", ",
+            (_, false) => ",",
+        });
+        if !inline {
+            indent(out, depth + 1);
+        }
+        if let Some(key) = key {
+            write_str(out, key);
+            out.push_str(": ");
+        }
+        render_into(out, member, depth + 1);
+    }
+    if !inline && !members.is_empty() {
+        indent(out, depth);
+    }
+    out.push(close);
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! Rendering an optimization run: a human summary for the terminal
-//! and a JSON artifact for `BENCH_opt.json` / `--out`.
+//! and a JSON artifact for `--out`.
 
 use std::fmt::Write as _;
 
-use vls_charlib::json::{write_f64, write_str};
+use vls_charlib::json::{self, Json};
+use vls_charlib::json_obj;
 use vls_units::fmt_eng;
 
 use crate::objective::COST_INFEASIBLE;
@@ -136,151 +137,64 @@ impl OptOutcome {
 
     /// The machine-readable artifact (`format` 1).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"format\": 1,\n  \"objective\": ");
-        write_str(&mut out, &self.objective);
-        let _ = write!(
-            out,
-            ",\n  \"budget\": {},\n  \"evaluations\": {},\n  \"space\": [",
-            self.budget, self.evaluations
-        );
-        for (i, knob) in self.space.knobs().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("{\"name\": ");
-            write_str(&mut out, &knob.name);
-            out.push_str(", \"lo\": ");
-            write_f64(&mut out, knob.lo);
-            out.push_str(", \"hi\": ");
-            write_f64(&mut out, knob.hi);
-            out.push_str(", \"step\": ");
-            write_f64(&mut out, knob.step);
-            out.push('}');
-        }
+        let knobs = self.space.knobs();
+        let space = knobs
+            .iter()
+            .map(|k| json_obj!("name": k.name.as_str(), "lo": k.lo, "hi": k.hi, "step": k.step));
         let a = &self.accounting;
-        let _ = write!(
-            out,
-            "],\n  \"accounting\": {{\"surrogate_hits\": {}, \"exact_evals\": {}, \"yield_evals\": {}, \"fallback_out_of_trust\": {}, \"fallback_clamped_corner\": {}, \"fallback_non_functional\": {}, \"failed_candidates\": {}, \"verification_evals\": {}}},\n  \"restarts\": [",
-            a.surrogate_hits,
-            a.exact_evals,
-            a.yield_evals,
-            a.fallback_out_of_trust,
-            a.fallback_clamped_corner,
-            a.fallback_non_functional,
-            a.failed_candidates,
-            a.verification_evals,
+        let accounting = json_obj!(
+            "surrogate_hits": a.surrogate_hits, "exact_evals": a.exact_evals,
+            "yield_evals": a.yield_evals, "fallback_out_of_trust": a.fallback_out_of_trust,
+            "fallback_clamped_corner": a.fallback_clamped_corner,
+            "fallback_non_functional": a.fallback_non_functional,
+            "failed_candidates": a.failed_candidates, "verification_evals": a.verification_evals,
         );
-        for (i, r) in self.restarts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    {{\"restart\": {}, \"start\": [", r.restart);
-            for (j, v) in r.start.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                write_f64(&mut out, *v);
-            }
-            out.push_str("], \"best\": [");
-            for (j, v) in r.best.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                write_f64(&mut out, *v);
-            }
-            out.push_str("], \"best_cost\": ");
-            write_f64(&mut out, r.best_cost);
-            let _ = write!(
-                out,
-                ", \"evaluations\": {}, \"converged\": {}, \"verification\": {{\"search_cost\": ",
-                r.evaluations, r.converged
-            );
-            write_f64(&mut out, r.verification.search_cost);
-            out.push_str(", \"exact_cost\": ");
-            match r.verification.exact_cost {
-                Some(c) => write_f64(&mut out, c),
-                None => out.push_str("null"),
-            }
-            out.push_str(", \"gap\": ");
-            match r.verification.gap {
-                Some(g) => write_f64(&mut out, g),
-                None => out.push_str("null"),
-            }
-            out.push_str(", \"tolerance\": ");
-            write_f64(&mut out, r.verification.tolerance);
-            out.push_str(", \"verdict\": ");
-            write_str(&mut out, r.verification.verdict.token());
-            out.push_str(", \"error\": ");
-            match &r.verification.error {
-                Some(e) => write_str(&mut out, e),
-                None => out.push_str("null"),
-            }
-            out.push_str("}}");
-        }
-        out.push_str("\n  ],\n  \"best\": ");
-        match self.best_restart() {
-            Some(r) => {
-                let _ = write!(out, "{{\"restart\": {}, \"sizing\": {{", r.restart);
-                for (j, (knob, v)) in self.space.knobs().iter().zip(&r.best).enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    write_str(&mut out, &knob.name);
-                    out.push_str(": ");
-                    write_f64(&mut out, *v);
-                }
-                out.push_str("}, \"exact_cost\": ");
-                match r.verification.exact_cost {
-                    Some(c) => write_f64(&mut out, c),
-                    None => out.push_str("null"),
-                }
-                out.push_str(", \"metrics\": ");
-                match &r.verification.exact_metrics {
-                    Some(m) => {
-                        out.push_str("{\"delay_rise\": ");
-                        write_f64(&mut out, m.delay_rise);
-                        out.push_str(", \"delay_fall\": ");
-                        write_f64(&mut out, m.delay_fall);
-                        out.push_str(", \"power_rise\": ");
-                        write_f64(&mut out, m.power_rise);
-                        out.push_str(", \"power_fall\": ");
-                        write_f64(&mut out, m.power_fall);
-                        out.push_str(", \"leakage_high\": ");
-                        write_f64(&mut out, m.leakage_high);
-                        out.push_str(", \"leakage_low\": ");
-                        write_f64(&mut out, m.leakage_low);
-                        let _ = write!(out, ", \"functional\": {}}}", m.functional);
-                    }
-                    None => out.push_str("null"),
-                }
-                out.push('}');
-            }
-            None => out.push_str("null"),
-        }
-        out.push_str(",\n  \"trajectory\": [");
-        for (i, s) in self.trajectory.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"i\": {}, \"restart\": {}, \"x\": [",
-                s.eval_index, s.restart
-            );
-            for (j, v) in s.x.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                write_f64(&mut out, *v);
-            }
-            out.push_str("], \"cost\": ");
-            write_f64(&mut out, s.cost);
-            out.push_str(", \"kind\": ");
-            write_str(&mut out, s.kind.token());
-            let _ = write!(out, ", \"accepted\": {}}}", s.accepted);
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let restarts = self.restarts.iter().map(|r| {
+            let v = &r.verification;
+            json_obj!(
+                "restart": r.restart, "start": r.start.as_slice(), "best": r.best.as_slice(),
+                "best_cost": r.best_cost, "evaluations": r.evaluations, "converged": r.converged,
+                "verification": json_obj!(
+                    "search_cost": v.search_cost, "exact_cost": v.exact_cost, "gap": v.gap,
+                    "tolerance": v.tolerance, "verdict": v.verdict.token(),
+                    "error": v.error.as_deref(),
+                ),
+            )
+        });
+        let best = self.best_restart().map(|r| {
+            let sizing = knobs.iter().zip(&r.best);
+            let metrics = r.verification.exact_metrics.as_ref().map(|m| {
+                json_obj!(
+                    "delay_rise": m.delay_rise, "delay_fall": m.delay_fall,
+                    "power_rise": m.power_rise, "power_fall": m.power_fall,
+                    "leakage_high": m.leakage_high, "leakage_low": m.leakage_low,
+                    "functional": m.functional,
+                )
+            });
+            json_obj!(
+                "restart": r.restart,
+                "sizing": Json::Obj(sizing.map(|(k, &v)| (k.name.clone(), v.into())).collect()),
+                "exact_cost": r.verification.exact_cost,
+                "metrics": metrics,
+            )
+        });
+        let trajectory = self.trajectory.iter().map(|s| {
+            json_obj!(
+                "i": s.eval_index, "restart": s.restart, "x": s.x.as_slice(), "cost": s.cost,
+                "kind": s.kind.token(), "accepted": s.accepted,
+            )
+        });
+        json::render(&json_obj!(
+            "format": 1usize,
+            "objective": self.objective.as_str(),
+            "budget": self.budget,
+            "evaluations": self.evaluations,
+            "space": space.collect::<Vec<_>>(),
+            "accounting": accounting,
+            "restarts": restarts.collect::<Vec<_>>(),
+            "best": best,
+            "trajectory": trajectory.collect::<Vec<_>>(),
+        ))
     }
 }
 

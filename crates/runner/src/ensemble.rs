@@ -20,69 +20,6 @@ pub struct Job {
     pub seed: u64,
 }
 
-/// One run's result, tagged with its identity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobOutcome<T, E> {
-    /// The run's identity (index + replay seed).
-    pub job: Job,
-    /// What the evaluation returned.
-    pub result: Result<T, E>,
-}
-
-/// A completed ensemble: every outcome in index order plus the shard
-/// wall-time report.
-#[derive(Debug, Clone)]
-pub struct Ensemble<T, E> {
-    /// Per-run outcomes, indexed by run.
-    pub outcomes: Vec<JobOutcome<T, E>>,
-    /// Wall-time accounting of the execution.
-    pub report: RunReport,
-}
-
-impl<T: Clone, E> Ensemble<T, E> {
-    /// The successful values, in run order.
-    pub fn successes(&self) -> Vec<T> {
-        self.outcomes
-            .iter()
-            .filter_map(|o| o.result.as_ref().ok().cloned())
-            .collect()
-    }
-}
-
-impl<T, E> Ensemble<T, E> {
-    /// The failed runs: `(identity, error)` in run order. The seed in
-    /// the identity replays the exact trial.
-    pub fn failures(&self) -> Vec<(Job, &E)> {
-        self.outcomes
-            .iter()
-            .filter_map(|o| o.result.as_ref().err().map(|e| (o.job, e)))
-            .collect()
-    }
-}
-
-/// Runs `trials` seeded jobs across the configured workers. Each job
-/// sees its [`Job`] identity; its `Result` is captured per run, so one
-/// failure cannot poison siblings. Outcomes are bit-identical for any
-/// worker count.
-pub fn run_ensemble<T: Send, E: Send>(
-    trials: usize,
-    master_seed: u64,
-    options: &RunnerOptions,
-    eval: impl Fn(Job) -> Result<T, E> + Sync,
-) -> Ensemble<T, E> {
-    let (outcomes, report) = run_indexed_reported(trials, options, |index| {
-        let job = Job {
-            index,
-            seed: derive_seed(master_seed, index as u64),
-        };
-        JobOutcome {
-            job,
-            result: eval(job),
-        }
-    });
-    Ensemble { outcomes, report }
-}
-
 /// How many extra, escalated attempts a trial is granted after its
 /// base attempt fails. Each retry runs inline on the same worker at
 /// the next rung of the caller's escalation ladder, so the retry
@@ -255,27 +192,43 @@ mod tests {
         }
     }
 
+    /// A single-attempt ensemble of [`flaky`] trials.
+    fn run_flaky(
+        trials: usize,
+        seed: u64,
+        options: &RunnerOptions,
+    ) -> ResilientEnsemble<u64, String> {
+        run_ensemble_resilient(
+            trials,
+            seed,
+            options,
+            RetryPolicy::none(),
+            |job, _| flaky(job),
+            |e| classify(e),
+        )
+    }
+
     #[test]
     fn failures_carry_their_seed_and_do_not_poison_siblings() {
-        let e = run_ensemble(40, 99, &RunnerOptions::with_jobs(4), flaky);
+        let e = run_flaky(40, 99, &RunnerOptions::with_jobs(4));
         assert_eq!(e.outcomes.len(), 40);
         let failures = e.failures();
         assert_eq!(failures.len(), 4); // indices 3, 13, 23, 33
-        for (job, msg) in &failures {
-            assert_eq!(job.seed, derive_seed(99, job.index as u64));
-            assert!(msg.contains("diverged"));
+        for f in &failures {
+            assert_eq!(f.job.seed, derive_seed(99, f.job.index as u64));
+            assert!(f.final_error().contains("diverged"));
         }
         // Neighbours of a failed index still succeeded.
-        assert!(e.outcomes[2].result.is_ok());
-        assert!(e.outcomes[4].result.is_ok());
+        assert!(e.outcomes[2].is_ok());
+        assert!(e.outcomes[4].is_ok());
         assert_eq!(e.successes().len(), 36);
     }
 
     #[test]
     fn ensembles_are_schedule_independent() {
-        let serial = run_ensemble(64, 7, &RunnerOptions::serial(), flaky);
+        let serial = run_flaky(64, 7, &RunnerOptions::serial());
         for jobs in [2, 8] {
-            let par = run_ensemble(64, 7, &RunnerOptions::with_jobs(jobs), flaky);
+            let par = run_flaky(64, 7, &RunnerOptions::with_jobs(jobs));
             assert_eq!(par.outcomes, serial.outcomes);
         }
     }

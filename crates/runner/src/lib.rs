@@ -9,17 +9,14 @@
 //!   jobs across [`std::thread::scope`] workers pulling fixed-size
 //!   chunks from an atomic work queue; results come back in index
 //!   order, bit-identical for any worker count (including 1);
-//! * [`run_ensemble`] — the seeded variant: every job receives a
-//!   deterministic seed derived from `(master_seed, index)` via
-//!   [`derive_seed`], and per-job failures are captured as
-//!   [`JobOutcome`]s (with the seed, for replay) instead of aborting
-//!   the ensemble;
-//! * [`run_ensemble_resilient`] — the degradation-aware variant: each
-//!   trial gets a [`RetryPolicy`]-bounded ladder of escalated attempts
-//!   (`eval(job, rung)`), runs that exhaust every rung are captured as
-//!   [`TrialFailure`]s, and the report gains a machine-readable
-//!   [`FailureTaxonomyEntry`] per exhausted trial — partial results
-//!   instead of an aborted run.
+//! * [`run_ensemble_resilient`] — the seeded variant: every job
+//!   receives a deterministic seed derived from `(master_seed, index)`
+//!   via [`derive_seed`] and a [`RetryPolicy`]-bounded ladder of
+//!   escalated attempts (`eval(job, rung)`; [`RetryPolicy::none`] for a
+//!   single attempt). Runs that exhaust every rung are captured as
+//!   [`TrialFailure`]s (with the seed, for replay) and the report gains
+//!   a machine-readable [`FailureTaxonomyEntry`] per exhausted trial —
+//!   partial results instead of an aborted run.
 //!
 //! Determinism contract: a job's output may depend only on its index
 //! (and derived seed), never on which worker ran it or on what else
@@ -30,22 +27,25 @@
 //! # Example
 //!
 //! ```
-//! use vls_runner::{run_ensemble, RunnerOptions};
+//! use vls_runner::{run_ensemble_resilient, Job, RetryPolicy, RunnerOptions};
 //!
-//! let opts = RunnerOptions::with_jobs(4);
-//! let ensemble = run_ensemble::<_, String>(100, 42, &opts, |job| {
+//! let trial = |job: Job, _rung: usize| {
 //!     if job.index == 17 {
 //!         Err("did not converge".to_string())
 //!     } else {
 //!         Ok(job.seed as f64)
 //!     }
-//! });
+//! };
+//! let run = |opts: &RunnerOptions| {
+//!     run_ensemble_resilient(100, 42, opts, RetryPolicy::none(), trial, |e: &String| {
+//!         ("no_convergence".to_string(), e.len() as u64)
+//!     })
+//! };
+//! let ensemble = run(&RunnerOptions::with_jobs(4));
 //! assert_eq!(ensemble.outcomes.len(), 100);
 //! assert_eq!(ensemble.failures().len(), 1);
 //! // Identical regardless of worker count.
-//! let serial = run_ensemble::<_, String>(100, 42, &RunnerOptions::serial(), |job| {
-//!     if job.index == 17 { Err("did not converge".into()) } else { Ok(job.seed as f64) }
-//! });
+//! let serial = run(&RunnerOptions::serial());
 //! assert_eq!(ensemble.successes(), serial.successes());
 //! ```
 
@@ -54,11 +54,10 @@ mod queue;
 mod seed;
 
 pub use ensemble::{
-    run_ensemble, run_ensemble_resilient, Ensemble, Job, JobOutcome, ResilientEnsemble,
-    RetryPolicy, TrialFailure, TrialSuccess,
+    run_ensemble_resilient, Job, ResilientEnsemble, RetryPolicy, TrialFailure, TrialSuccess,
 };
 pub use queue::{run_indexed, run_indexed_reported, FailureTaxonomyEntry, RunReport, ShardReport};
-pub use seed::{derive_seed, rng_for_run};
+pub use seed::derive_seed;
 
 /// How an experiment is spread across workers.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

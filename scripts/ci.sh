@@ -95,8 +95,16 @@ grep -q "unknown fault site" "$CHARLIB_TMP/fault_site_err.txt"
 # then a CLI baseline round-trip: record the fingerprints of a
 # known-bad deck (exit 1), re-check against the recording and the gate
 # must pass with the findings suppressed.
+# Smoke runs write under $TMPDIR: the checked-in BENCH_*.json
+# trajectory must be byte-identical after the last smoke leg. A
+# mistyped flag must be rejected, not run as a full benchmark.
+sha256sum BENCH_*.json > "$CHARLIB_TMP/bench_sums.txt"
 echo "==> check_scale --smoke (release, speedup floor + baseline round trip)"
 cargo run -q --release -p vls-bench --bin check_scale -- --smoke
+if cargo run -q --release -p vls-bench --bin check_scale -- --smok > /dev/null 2>&1; then
+    echo "check_scale accepted the unknown flag --smok" >&2
+    exit 1
+fi
 
 echo "==> vls-spice check baseline round trip"
 CHECK_DECK="$CHARLIB_TMP/check_baseline.sp"
@@ -177,6 +185,9 @@ cargo run -q --release -p vls-bench --bin opt_convergence -- --smoke
 # workspace suite above: the solve has no parallelism to vary.
 echo "==> solve_scale --smoke (release, chip + mesh speedup floors enforced)"
 cargo run -q --release -p vls-bench --bin solve_scale -- --smoke
+
+echo "==> smoke legs left the BENCH_*.json trajectory untouched"
+sha256sum -c --quiet "$CHARLIB_TMP/bench_sums.txt"
 
 # The benchmark leg: perfbench's own tests, then one reference-checked
 # pass of every workload at seed 0. The result line must read

@@ -22,9 +22,7 @@ use sstvs::netlist::chipgen::{generate_chip, ChipSpec};
 use sstvs::netlist::Circuit;
 use sstvs::num::rng::Xoshiro256pp;
 use sstvs::num::SolverStats;
-use sstvs::runner::{
-    derive_seed, run_ensemble, run_ensemble_resilient, RetryPolicy, RunnerOptions,
-};
+use sstvs::runner::{derive_seed, run_ensemble_resilient, RetryPolicy, RunnerOptions};
 use sstvs::variation::{sample_perturbation, VariationSpec};
 
 const TRIALS: usize = 256;
@@ -354,11 +352,12 @@ fn budgets_exhaust_with_typed_taxonomy_errors() {
 fn fuzzed_perturbations_never_panic_and_fail_typed() {
     let h = victim();
     let spec = VariationSpec::paper().scaled(3.0);
-    let e = run_ensemble(
+    let e = run_ensemble_resilient(
         96,
         0xF022,
         &RunnerOptions::default(),
-        |job| -> Result<f64, String> {
+        RetryPolicy::none(),
+        |job, _rung| -> Result<f64, String> {
             let mut rng = Xoshiro256pp::seed_from_u64(job.seed);
             let map = sample_perturbation(&h.circuit, &spec, &mut rng, |_| true);
             let mut circuit = h.circuit.clone();
@@ -374,13 +373,15 @@ fn fuzzed_perturbations_never_panic_and_fail_typed() {
                 .map_err(|err| format!("seed {:#x}: {}", job.seed, err.failure_class()))?;
             Ok(sol.voltage(h.output))
         },
+        |msg| (msg.clone(), 0),
     );
     assert_eq!(e.outcomes.len(), 96);
     // Failures (if the 3-sigma tail produces any) must be typed with a
     // replayable seed baked into the message.
-    for (job, msg) in e.failures() {
+    for f in e.failures() {
+        let msg = f.final_error();
         assert!(
-            msg.contains(&format!("{:#x}", job.seed)),
+            msg.contains(&format!("{:#x}", f.job.seed)),
             "failure lost its replay seed: {msg}"
         );
     }
